@@ -6,7 +6,9 @@
     from the spec (e.g. composite [Push_mpls label], float timeouts in
     milliseconds, packet payloads via {!Scotch_packet.Codec}), the
     encoding is self-consistent: the property guaranteed (and tested) is
-    [decode (encode m) = m]. *)
+    [decode (encode m) = m] for messages of at most 65535 bytes.  The
+    [u16] header length (and list counts) wrap above that, so a longer
+    message encodes in full but does not decode; see the interface. *)
 
 open Of_types
 
@@ -488,6 +490,71 @@ let encode (msg : Of_msg.t) =
   W.u32 framed msg.xid;
   Buffer.add_bytes framed body;
   Buffer.to_bytes framed
+
+(** {1 Sizing}
+
+    [encoded_size] mirrors the writers above field for field, so the
+    framed length is known without rendering the message.  Any change to
+    a writer must change its size here too; a qcheck property pins
+    [encoded_size m = Bytes.length (encode m)] over every payload. *)
+
+let opt_size n = function None -> 0 | Some _ -> n
+
+(* count byte, then [id; has_mask; u32] per simple field (6 bytes, the
+   i32 GRE key included) or [id; has_mask; u32; u32] per masked one *)
+let match_size (m : Of_match.t) =
+  1 + opt_size 6 m.in_port + opt_size 6 m.eth_type + opt_size 10 m.ip_src
+  + opt_size 10 m.ip_dst + opt_size 6 m.ip_proto + opt_size 6 m.l4_src
+  + opt_size 6 m.l4_dst + opt_size 6 m.mpls_label + opt_size 6 m.gre_key
+  + opt_size 6 m.tunnel_id
+
+let action_size (a : Of_action.t) =
+  match a with
+  | Of_action.Output _ | Group _ | Push_mpls _ | Push_gre _ -> 5
+  | Set_eth_dst _ | Set_eth_src _ -> 9
+  | Pop_mpls | Pop_gre | Dec_ttl | Drop -> 1
+
+let actions_size acts = List.fold_left (fun n a -> n + action_size a) 2 acts
+
+let instructions_size instrs =
+  List.fold_left
+    (fun n -> function
+      | Of_action.Apply_actions acts -> n + 1 + actions_size acts
+      | Of_action.Goto_table _ -> n + 2)
+    2 instrs
+
+let buckets_size buckets =
+  List.fold_left
+    (fun n (bk : Of_msg.Group_mod.bucket) -> n + 2 + actions_size bk.actions)
+    2 buckets
+
+let packet_size p = 4 + 4 + Bytes.length (Scotch_packet.Codec.serialize p)
+
+(* table, priority, three u64 counters/cookie, duration, match *)
+let flow_stat_size (fs : Of_msg.Stats.flow_stat) = 31 + match_size fs.match_
+
+let body_size (p : Of_msg.payload) =
+  match p with
+  | Hello | Echo_request | Echo_reply | Barrier_request | Barrier_reply -> 0
+  | Error s -> 4 + String.length s
+  | Flow_mod fm -> 20 + match_size fm.match_ + instructions_size fm.instructions
+  | Group_mod gm -> 6 + buckets_size gm.buckets
+  | Packet_in pi -> 11 + opt_size 4 pi.tunnel_id + packet_size pi.packet
+  | Packet_out po -> 4 + actions_size po.actions + packet_size po.packet
+  | Flow_stats_request fsr -> 3 + match_size fsr.match_
+  | Flow_stats_reply stats -> List.fold_left (fun n fs -> n + flow_stat_size fs) 4 stats
+  | Table_stats_request | Group_stats_request | Telemetry_request -> 2
+  | Table_stats_reply { active_entries } -> 4 + (4 * List.length active_entries)
+  | Group_stats_reply descs ->
+    List.fold_left
+      (fun n (gd : Of_msg.Stats.group_desc) -> n + 5 + buckets_size gd.buckets)
+      4 descs
+  | Telemetry_reply tr -> 2 + 26 + (17 * List.length tr.records)
+
+(** [encoded_size msg] is [Bytes.length (encode msg)], computed
+    arithmetically.  Only payloads carrying a packet render anything
+    (the packet, via {!Scotch_packet.Codec.serialize}). *)
+let encoded_size (msg : Of_msg.t) = 8 + body_size msg.payload
 
 (** [decode data] parses one framed message.  Raises {!Parse_error} on
     malformed input. *)

@@ -222,13 +222,19 @@ let peek t ~now (ctx : Of_match.context) =
   in
   go t.buckets
 
-(** Flow statistics for all live rules. *)
-let stats t ~now : Of_msg.Stats.flow_stat list =
-  List.concat_map
-    (fun b ->
+(** [fold_stats t ~now ~filter acc] prepends onto [acc] the flow
+    statistics of the live rules that [filter] selects (OpenFlow
+    multipart filtering; a wildcard filter selects all and is not
+    evaluated), in the order {!stats} lists them.  Buckets are folded
+    right to left, each [Hashtbl.fold] prepending onto the result so far,
+    so no intermediate list is built. *)
+let fold_stats t ~now ~filter acc : Of_msg.Stats.flow_stat list =
+  let all = Of_match.is_wildcard filter in
+  List.fold_right
+    (fun b acc ->
       Hashtbl.fold
         (fun _ r acc ->
-          if is_expired ~now r then acc
+          if is_expired ~now r || not (all || Of_match.selects filter r.match_) then acc
           else
             { Of_msg.Stats.table_id = t.table_id;
               priority = r.priority;
@@ -238,8 +244,11 @@ let stats t ~now : Of_msg.Stats.flow_stat list =
               duration = now -. r.installed_at;
               cookie = r.cookie }
             :: acc)
-        b.by_match [])
-    t.buckets
+        b.by_match acc)
+    t.buckets acc
+
+(** Flow statistics for all live rules. *)
+let stats t ~now = fold_stats t ~now ~filter:Of_match.wildcard []
 
 let insert_failures t = t.insert_failures
 

@@ -69,6 +69,13 @@ val peek : t -> now:float -> Of_match.context -> rule option
 (** Flow statistics for all live rules. *)
 val stats : t -> now:float -> Of_msg.Stats.flow_stat list
 
+(** [fold_stats t ~now ~filter acc] is
+    [List.filter (fun fs -> Of_match.selects filter fs.match_) (stats t ~now) @ acc],
+    built in one pass: a stats reply over several tables is one fold. *)
+val fold_stats :
+  t -> now:float -> filter:Of_match.t -> Of_msg.Stats.flow_stat list ->
+  Of_msg.Stats.flow_stat list
+
 (** Inserts rejected for capacity so far. *)
 val insert_failures : t -> int
 

@@ -291,16 +291,19 @@ let handler_of t : Ofa.handler =
              po.Of_msg.Packet_out.actions));
     flow_stats =
       (fun req ->
+        (* tables right to left onto one list, giving table order then
+           each table's own order: the poller acts on records in list
+           order, so the order is part of the simulated outcome *)
         let tnow = now t in
-        Array.to_list t.tables
-        |> List.concat_map (fun table ->
-               if
-                 req.Of_msg.Stats.table_id = 0xFF
-                 || Flow_table.table_id table = req.Of_msg.Stats.table_id
-               then Flow_table.stats table ~now:tnow
-               else [])
-        |> List.filter (fun (fs : Of_msg.Stats.flow_stat) ->
-               Of_match.selects req.Of_msg.Stats.match_ fs.Of_msg.Stats.match_));
+        let filter = req.Of_msg.Stats.match_ in
+        Array.fold_right
+          (fun table acc ->
+            if
+              req.Of_msg.Stats.table_id = 0xFF
+              || Flow_table.table_id table = req.Of_msg.Stats.table_id
+            then Flow_table.fold_stats table ~now:tnow ~filter acc
+            else acc)
+          t.tables []);
     table_stats =
       (fun () ->
         { Of_msg.Stats.active_entries =

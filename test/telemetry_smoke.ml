@@ -3,8 +3,9 @@
    and workload; the sampled path must find every planted elephant
    (recall >= 0.9) without false alarms (precision >= 0.9) while
    spending at most a tenth of the exact path's stats-channel messages
-   (>= 10x reduction), and two same-seed sampled runs must be
-   bit-identical (`dune build @telemetry`). *)
+   (>= 10x reduction), both ledgers must equal their pinned values,
+   and two same-seed sampled runs must be bit-identical
+   (`dune build @telemetry`). *)
 
 open Scotch_experiments
 
@@ -43,6 +44,18 @@ let () =
   (* elephants actually migrated off the overlay under sampling *)
   if sampled.Telemetry.o_migrations = 0 then
     fail "sampled detection triggered no migrations";
+
+  (* the detection ledger, pinned exactly: a drift in message sizing
+     (or in what the pollers send) must show here, not only when it
+     happens to cross the 10x ratio below.  A change that moves these
+     values re-pins them and says why. *)
+  let pin name (o : Telemetry.outcome) msgs bytes =
+    if (o.Telemetry.o_msgs, o.Telemetry.o_bytes) <> (msgs, bytes) then
+      fail "%s ledger (%d msgs, %d bytes) <> pinned (%d msgs, %d bytes)" name
+        o.Telemetry.o_msgs o.Telemetry.o_bytes msgs bytes
+  in
+  pin "exact" exact 168727 11803882;
+  pin "sampled" sampled 288 5396;
 
   (* the point of the subsystem: a >= 10x cheaper stats channel *)
   if reduction < 10.0 then fail "channel reduction %.1fx < 10x" reduction;

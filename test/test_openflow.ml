@@ -268,6 +268,131 @@ let prop_actions_wire_roundtrip =
       | Of_msg.Packet_out po' -> po'.Of_msg.Packet_out.actions = actions
       | _ -> false)
 
+(* qcheck: the arithmetic size agrees with the rendered length for
+   every payload constructor, including flow-stats replies far above the
+   16-bit header length *)
+let packet_gen =
+  let open QCheck.Gen in
+  map3
+    (fun (sp, dp) len label ->
+      let pkt =
+        Packet.udp_data ~payload_len:len ~flow_id:1 ~created:0.0 ~src_mac:(Mac.of_host_id 1)
+          ~dst_mac:(Mac.of_host_id 2) ~ip_src:(Ipv4_addr.make 10 0 0 1)
+          ~ip_dst:(Ipv4_addr.make 10 0 0 2) ~src_port:sp ~dst_port:dp ()
+      in
+      match label with None -> pkt | Some l -> Packet.push_encap (Headers.Encap.mpls l) pkt)
+    (pair (int_bound 65535) (int_bound 65535))
+    (int_bound 1400)
+    (opt (int_bound 0xFFFFF))
+
+let flow_stat_gen =
+  let open QCheck.Gen in
+  map3
+    (fun (table_id, priority) (packet_count, byte_count) match_ ->
+      { Of_msg.Stats.table_id; priority; match_; packet_count; byte_count;
+        duration = 1.5; cookie = 7L })
+    (pair (int_bound 3) (int_bound 0xFFFF))
+    (pair (int_bound 1_000_000) (int_bound 100_000_000))
+    match_gen
+
+let bucket_gen =
+  QCheck.Gen.(
+    map2
+      (fun weight actions -> { Of_msg.Group_mod.weight; actions })
+      (int_bound 10) (list_size (int_bound 4) action_gen))
+
+let payload_gen : Of_msg.payload QCheck.Gen.t =
+  let open QCheck.Gen in
+  let instruction =
+    oneof
+      [ map (fun acts -> Of_action.Apply_actions acts) (list_size (int_bound 4) action_gen);
+        map (fun t -> Of_action.Goto_table t) (int_bound 3) ]
+  in
+  let telemetry_record =
+    map2
+      (fun (s, d) (sp, dp) ->
+        { Of_msg.Telemetry.key =
+            Flow_key.make ~ip_src:(Ipv4_addr.of_int s) ~ip_dst:(Ipv4_addr.of_int d) ~proto:6
+              ~l4_src:sp ~l4_dst:dp ();
+          sampled = sp })
+      (pair (int_bound 0xFFFFFFF) (int_bound 0xFFFFFFF))
+      (pair (int_bound 65535) (int_bound 65535))
+  in
+  oneof
+    [ oneofl
+        [ Of_msg.Hello; Echo_request; Echo_reply; Barrier_request; Barrier_reply;
+          Table_stats_request; Group_stats_request; Telemetry_request ];
+      map (fun s -> Of_msg.Error s) (string_size (int_bound 64));
+      map3
+        (fun (table_id, priority) match_ instructions ->
+          Of_msg.Flow_mod
+            (Of_msg.Flow_mod.add ~table_id ~priority ~idle_timeout:10.0 ~match_ ~instructions
+               ()))
+        (pair (int_bound 3) (int_bound 0xFFFF))
+        match_gen
+        (list_size (int_bound 3) instruction);
+      map2
+        (fun group_id buckets -> Of_msg.Group_mod (Of_msg.Group_mod.add_select ~group_id ~buckets))
+        (int_bound 100) (list_size (int_bound 4) bucket_gen);
+      map3
+        (fun tunnel_id in_port packet ->
+          Of_msg.Packet_in
+            (Of_msg.Packet_in.make ?tunnel_id ~reason:Of_types.Packet_in_reason.No_match
+               ~in_port packet))
+        (opt (int_bound 1000)) (int_bound 100) packet_gen;
+      map2
+        (fun actions packet -> Of_msg.Packet_out (Of_msg.Packet_out.make ~actions packet))
+        (list_size (int_bound 4) action_gen) packet_gen;
+      map (fun match_ -> Of_msg.Flow_stats_request { table_id = 0xFF; match_ }) match_gen;
+      map
+        (fun stats -> Of_msg.Flow_stats_reply stats)
+        (list_size (frequency [ (3, int_bound 20); (1, int_bound 5000) ]) flow_stat_gen);
+      map
+        (fun active_entries -> Of_msg.Table_stats_reply { active_entries })
+        (list_size (int_bound 4) (int_bound 100_000));
+      map
+        (fun descs -> Of_msg.Group_stats_reply descs)
+        (list_size (int_bound 4)
+           (map2
+              (fun group_id buckets ->
+                { Of_msg.Stats.group_id; group_type = Of_msg.Group_mod.Select; buckets })
+              (int_bound 100) (list_size (int_bound 4) bucket_gen)));
+      map
+        (fun records ->
+          Of_msg.Telemetry_reply
+            { Of_msg.Telemetry.rate = 0.01; window = 1.0; seen = 100; sampled = 3; records })
+        (list_size (int_bound 40) telemetry_record) ]
+
+let prop_encoded_size =
+  QCheck.Test.make ~name:"encoded_size = length of encode" ~count:300
+    (QCheck.make
+       ~print:(fun p ->
+         let m = Of_msg.make ~xid:0 p in
+         Printf.sprintf "%s: encoded_size %d, encode %d" (Of_msg.kind_name m)
+           (Of_wire.encoded_size m) (Bytes.length (Of_wire.encode m)))
+       payload_gen)
+    (fun p ->
+      let m = Of_msg.make ~xid:9 p in
+      Of_wire.encoded_size m = Bytes.length (Of_wire.encode m))
+
+(* An exact-polling reply from a vswitch holding ~29k reactive rules:
+   about 2 MB, so the u16 header length wraps.  It is sized exactly,
+   and the codec refuses to decode it rather than mis-parse it. *)
+let test_wire_oversized_reply () =
+  let stat i =
+    { Of_msg.Stats.table_id = 0; priority = 10;
+      match_ = Of_match.exact_flow (Packet.flow_key (mk_packet ~src_port:(i land 0xFFFF) ()));
+      packet_count = i; byte_count = 64 * i; duration = 3.0; cookie = 7L }
+  in
+  let m = Of_msg.make ~xid:1 (Of_msg.Flow_stats_reply (List.init 29_000 stat)) in
+  let encoded = Of_wire.encode m in
+  Alcotest.(check int) "encoded_size" (Bytes.length encoded) (Of_wire.encoded_size m);
+  Alcotest.(check bool) "longer than a u16 length" true (Bytes.length encoded > 0xFFFF);
+  Alcotest.(check bool) "decode raises Parse_error" true
+    (match Of_wire.decode encoded with
+     | (_ : Of_msg.t) -> false
+     | exception Of_wire.Parse_error _ -> true)
+
 (* fuzz: corrupting any byte of a valid message must either decode to
    SOME message or raise Parse_error — never crash or loop *)
 let prop_decode_total =
@@ -315,6 +440,8 @@ let () =
           Alcotest.test_case "stats" `Quick test_wire_stats;
           Alcotest.test_case "bad version" `Quick test_wire_bad_version;
           Alcotest.test_case "bad length" `Quick test_wire_bad_length;
+          Alcotest.test_case "oversized reply" `Quick test_wire_oversized_reply;
+          QCheck_alcotest.to_alcotest prop_encoded_size;
           QCheck_alcotest.to_alcotest prop_match_wire_roundtrip;
           QCheck_alcotest.to_alcotest prop_actions_wire_roundtrip;
           QCheck_alcotest.to_alcotest prop_decode_total ] ) ]

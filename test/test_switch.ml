@@ -910,6 +910,87 @@ let test_switch_packet_out_via_ofa () =
   Scotch_sim.Engine.run e;
   Alcotest.(check int) "packet out forwarded" 1 (List.length !delivered)
 
+(* A stats reply lists records in a fixed order that the poller acts
+   on (migrations launch in list order), so the one-pass reply must
+   equal, element for element, the plain multi-pass pipeline kept here
+   as the oracle: per table, each priority bucket's [Hashtbl.fold]
+   prepending onto [[]] (so a bucket lists its rules in reverse
+   iteration order; [iter_rules] walks the same buckets in the same
+   order), concatenated over tables, then filtered. *)
+let legacy_table_stats table ~now =
+  let buckets = ref [] in
+  Flow_table.iter_rules table (fun r ->
+      match !buckets with
+      | (p, rs) :: rest when p = r.Flow_table.priority -> buckets := (p, r :: rs) :: rest
+      | bs -> buckets := (r.Flow_table.priority, [ r ]) :: bs);
+  List.rev !buckets
+  |> List.concat_map snd
+  |> List.filter (fun (r : Flow_table.rule) ->
+         not
+           ((r.hard_timeout > 0.0 && now -. r.installed_at >= r.hard_timeout)
+           || (r.idle_timeout > 0.0 && now -. r.last_used >= r.idle_timeout)))
+  |> List.map (fun (r : Flow_table.rule) ->
+         { Of_msg.Stats.table_id = Flow_table.table_id table; priority = r.priority;
+           match_ = r.match_; packet_count = r.packet_count; byte_count = r.byte_count;
+           duration = now -. r.installed_at; cookie = r.cookie })
+
+let legacy_flow_stats sw (req : Of_msg.Stats.flow_stats_request) ~now =
+  Array.to_list (Switch.tables sw)
+  |> List.concat_map (fun table ->
+         if req.table_id = 0xFF || Flow_table.table_id table = req.table_id then
+           legacy_table_stats table ~now
+         else [])
+  |> List.filter (fun (fs : Of_msg.Stats.flow_stat) -> Of_match.selects req.match_ fs.match_)
+
+let test_switch_flow_stats_order () =
+  let e = Scotch_sim.Engine.create () in
+  let sw = Switch.create e ~dpid:1 ~name:"s" ~profile:quiet_profile () in
+  (* 2 tables x 3 priorities, exact and non-exact rules, some expired
+     (hard timeout 0.5 s, polled at 1 s) *)
+  for i = 0 to 89 do
+    let match_ =
+      if i mod 7 = 0 then Of_match.with_ip_dst (Ipv4_addr.make 10 0 1 i) Of_match.wildcard
+      else
+        Of_match.exact_flow
+          (Packet.flow_key (mk_packet ~src_port:i ~dst_port:(if i mod 4 = 0 then 443 else 80) ()))
+    in
+    match
+      Switch.install_direct sw ~table_id:(i mod 2) ~priority:[| 1; 5; 10 |].(i mod 3) ~match_
+        ~instructions:(out_port 1) ~hard_timeout:(if i mod 5 = 0 then 0.5 else 0.0)
+        ~cookie:(Int64.of_int i) ()
+    with
+    | Ok () -> ()
+    | Error `Table_full -> Alcotest.fail "table full"
+  done;
+  (* name, request, live rules it selects *)
+  let requests =
+    [ ("wildcard", { Of_msg.Stats.table_id = 0xFF; match_ = Of_match.wildcard }, 72);
+      ("filtered", { table_id = 0xFF; match_ = Of_match.with_l4_dst 80 Of_match.wildcard }, 47);
+      ("single table", { table_id = 1; match_ = Of_match.wildcard }, 36) ]
+  in
+  let ofa = Switch.ofa sw in
+  let replies = ref [] in
+  Ofa.connect_controller ofa (fun msg ->
+      match msg.Of_msg.payload with
+      | Of_msg.Flow_stats_reply got ->
+        let name, req, n = List.nth requests msg.Of_msg.xid in
+        let want = legacy_flow_stats sw req ~now:(Scotch_sim.Engine.now e) in
+        replies := (name, n, got, want) :: !replies
+      | _ -> ());
+  List.iteri
+    (fun xid (_, req, _) ->
+      ignore
+        (Scotch_sim.Engine.schedule_at e ~at:1.0 (fun () ->
+             Ofa.deliver_message ofa (Of_msg.make ~xid (Of_msg.Flow_stats_request req)))))
+    requests;
+  Scotch_sim.Engine.run e;
+  Alcotest.(check int) "every request answered" 3 (List.length !replies);
+  List.iter
+    (fun (name, n, got, want) ->
+      Alcotest.(check int) (name ^ ": oracle size") n (List.length want);
+      Alcotest.(check bool) (name ^ ": identical list") true (got = want))
+    !replies
+
 let () =
   Alcotest.run "scotch_switch"
     [ ( "flow_table",
@@ -951,4 +1032,5 @@ let () =
           Alcotest.test_case "tcam write stall" `Quick test_switch_tcam_write_stall;
           Alcotest.test_case "failure injection" `Quick test_switch_failure_injection;
           Alcotest.test_case "normal ports" `Quick test_switch_normal_ports;
-          Alcotest.test_case "packet out via ofa" `Quick test_switch_packet_out_via_ofa ] ) ]
+          Alcotest.test_case "packet out via ofa" `Quick test_switch_packet_out_via_ofa;
+          Alcotest.test_case "flow stats order" `Quick test_switch_flow_stats_order ] ) ]
