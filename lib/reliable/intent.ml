@@ -57,7 +57,9 @@ let record_flow_mod t ~now (fm : Of_msg.Flow_mod.t) =
         hard_timeout = fm.Of_msg.Flow_mod.hard_timeout; cookie = fm.Of_msg.Flow_mod.cookie;
         recorded_at = now }
     in
-    Hashtbl.replace t.rules (key ~table_id:r.table_id ~priority:r.priority ~match_:r.match_) r
+    let k = key ~table_id:r.table_id ~priority:r.priority ~match_:r.match_ in
+    Hashtbl.replace t.rules k r;
+    [ k ]
   | Of_msg.Flow_mod.Delete ->
     (* mirror the device: Delete removes every priority holding this
        exact match in the table *)
@@ -68,7 +70,8 @@ let record_flow_mod t ~now (fm : Of_msg.Flow_mod.t) =
           else acc)
         t.rules []
     in
-    List.iter (Hashtbl.remove t.rules) doomed
+    List.iter (Hashtbl.remove t.rules) doomed;
+    doomed
 
 let record_group_mod t ~now (gm : Of_msg.Group_mod.t) =
   match gm.Of_msg.Group_mod.command with

@@ -23,6 +23,10 @@ type group = {
   recorded_at : float;
 }
 
+(** Rule identity: (table, priority, match) — what a device ADD
+    replaces on. *)
+type key = int * int * Of_match.t
+
 type t
 
 val create : unit -> t
@@ -31,10 +35,12 @@ val create : unit -> t
     ephemeral rules (idle/hard timeouts) may legitimately expire. *)
 val is_durable : rule -> bool
 
-(** Record the intent effect of a Flow_mod: Add/Modify upserts by
-    (table, priority, match); Delete removes every priority holding the
-    match in the table, mirroring device semantics. *)
-val record_flow_mod : t -> now:float -> Of_msg.Flow_mod.t -> unit
+(** Record the intent effect of a Flow_mod and return the keys it
+    touched: Add/Modify upserts by (table, priority, match) and returns
+    that one key; Delete removes every priority holding the match in
+    the table, mirroring device semantics, and returns each removed
+    key (none when nothing held the match). *)
+val record_flow_mod : t -> now:float -> Of_msg.Flow_mod.t -> key list
 
 val record_group_mod : t -> now:float -> Of_msg.Group_mod.t -> unit
 val find_rule : t -> table_id:int -> priority:int -> match_:Of_match.t -> rule option

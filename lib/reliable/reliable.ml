@@ -115,9 +115,9 @@ type t = {
   mutable records : record list; (* newest first *)
   mutable next_record_id : int;
   mutable stop_reconciler : (unit -> unit) option;
-  mutable on_install : (int -> unit) option;
-      (* verifier tap: fired with the dpid after a transaction's intents
-         are recorded — the intent store for that switch is stale *)
+  mutable on_install : (int -> Intent.key list -> groups_changed:bool -> unit) option;
+      (* verifier tap: fired with the dpid and the intent keys a
+         transaction or a reconciler forget touched *)
   divergence_h : Scotch_obs.Registry.histogram;
       (* closed divergence windows (virtual seconds); obs-gated *)
 }
@@ -213,11 +213,10 @@ let records t = List.rev t.records
 
 (** {1 Transactions} *)
 
-let record_payload t ss payload =
-  match payload with
-  | Of_msg.Flow_mod fm -> Intent.record_flow_mod ss.intents ~now:(now t) fm
-  | Of_msg.Group_mod gm -> Intent.record_group_mod ss.intents ~now:(now t) gm
-  | _ -> invalid_arg "Reliable.transaction: only Flow_mod/Group_mod payloads are transactional"
+let notify t ss keys ~groups_changed =
+  match t.on_install with
+  | None -> ()
+  | Some f -> f ss.handle.C.dpid keys ~groups_changed
 
 let rec pump t ss =
   if ss.outstanding < t.config.window then begin
@@ -295,15 +294,30 @@ let enqueue t ss payloads =
 let transaction t (sw : C.sw) payloads =
   if payloads <> [] then begin
     let ss = state_exn "transaction" t sw.C.dpid in
-    List.iter (record_payload t ss) payloads;
-    (match t.on_install with None -> () | Some f -> f sw.C.dpid);
+    let tnow = now t in
+    let keys, groups_changed =
+      List.fold_left
+        (fun (keys, groups) payload ->
+          match payload with
+          | Of_msg.Flow_mod fm ->
+            (List.rev_append (Intent.record_flow_mod ss.intents ~now:tnow fm) keys, groups)
+          | Of_msg.Group_mod gm ->
+            Intent.record_group_mod ss.intents ~now:tnow gm;
+            (keys, true)
+          | _ ->
+            invalid_arg
+              "Reliable.transaction: only Flow_mod/Group_mod payloads are transactional")
+        ([], false) payloads
+    in
+    notify t ss (List.rev keys) ~groups_changed;
     enqueue t ss payloads
   end
 
-(** Attach (or detach, with [None]) an install observer, fired with the
-    dpid after a transaction's intents are recorded — the incremental
-    verifier's cue that the intent store for that switch changed.
-    [None] (the default) costs one [match] per transaction. *)
+(** Attach (or detach, with [None]) the install tap, fired with the
+    dpid, the intent keys touched and whether the group intents changed
+    — after a transaction's intents are recorded and after a reconciler
+    round forgets expired ephemeral intents.  [None] (the default) costs
+    one [match] per notification. *)
 let set_on_install t f = t.on_install <- f
 
 let flow_mod t sw fm = transaction t sw [ Of_msg.Flow_mod fm ]
@@ -368,11 +382,17 @@ let diff_and_repair t ss (flow_stats : Of_msg.Stats.flow_stat list)
       then
         if Intent.is_durable r then missing := r :: !missing else expired := r :: !expired)
     (Intent.rules ss.intents);
-  List.iter
-    (fun (r : Intent.rule) ->
-      Intent.forget_rule ss.intents ~table_id:r.Intent.table_id ~priority:r.Intent.priority
-        ~match_:r.Intent.match_)
-    !expired;
+  if !expired <> [] then begin
+    let keys =
+      List.rev_map
+        (fun (r : Intent.rule) ->
+          Intent.forget_rule ss.intents ~table_id:r.Intent.table_id ~priority:r.Intent.priority
+            ~match_:r.Intent.match_;
+          (r.Intent.table_id, r.Intent.priority, r.Intent.match_))
+        !expired
+    in
+    notify t ss keys ~groups_changed:false
+  end;
   let missing = List.rev !missing in
   (* device side: rules carrying a cookie we own, old enough that no
      install can still be racing, with no matching intent — orphans *)

@@ -86,11 +86,24 @@ val transaction : t -> C.sw -> Of_msg.payload list -> unit
 val flow_mod : t -> C.sw -> Of_msg.Flow_mod.t -> unit
 val group_mod : t -> C.sw -> Of_msg.Group_mod.t -> unit
 
-(** Attach (or detach, with [None]) an install observer, fired with the
-    dpid after a transaction's intents are recorded — the incremental
-    verifier's cue that the switch's intent store changed.  [None] (the
-    default) costs one [match] per transaction. *)
-val set_on_install : t -> (int -> unit) option -> unit
+(** Attach (or detach, with [None]) the install tap — the incremental
+    verifier's cue that a switch's intent store changed.  It is fired
+    as [f dpid keys ~groups_changed]:
+    {ul
+    {- after a transaction's intents are recorded, with every key its
+       Flow_mods touched (an Add/Modify reports its one key, a Delete
+       every priority it removed) and [groups_changed] set when the
+       batch carried a Group_mod;}
+    {- after a reconciler round forgets expired ephemeral intents, with
+       the forgotten keys and [groups_changed = false].}}
+    A key may repeat; its current value is whatever
+    {!Intent.find_rule} now returns ([None] when removed).  Every
+    change this layer makes to an intent store fires the tap, so it is
+    a complete change feed — unless a caller edits a store obtained from
+    {!intent_of} directly.
+    [None] (the default) costs one [match] per notification. *)
+val set_on_install :
+  t -> (int -> Intent.key list -> groups_changed:bool -> unit) option -> unit
 
 (** Flag a switch for a full-table resync at the next reconciler tick —
     wire this to the controller's [switch_alive] hook. *)

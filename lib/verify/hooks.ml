@@ -6,6 +6,7 @@ open Scotch_core
 open Scotch_switch
 module Topology = Scotch_topo.Topology
 module Reliable = Scotch_reliable.Reliable
+module Intent = Scotch_reliable.Intent
 
 type report = {
   phase : string;
@@ -126,12 +127,29 @@ let install ?(phases = [ `Post_recovery ]) ?(run_end = true) ~engine ~topo scotc
       let n = now () in
       st.incr <- Some (Incremental.create ~now:n (Snapshot.capture ~scotch ~now:n topo));
       tap_all ();
+      (* the install tap reports exactly the intent keys each
+         transaction or reconciler forget touched: ship their current
+         values (and the groups, when they changed) as one delta *)
       (match Scotch.reliable scotch with
       | Some r ->
         Reliable.set_on_install r
           (Some
-             (fun _dpid ->
-               apply_u (Incremental.Intents (Some (Snapshot.capture_intents ~now:(now ()) r)))))
+             (fun dpid keys ~groups_changed ->
+               match Reliable.intent_of r dpid with
+               | None -> ()
+               | Some store ->
+                 let current ((table_id, priority, match_) as k) =
+                   ( k,
+                     Option.map Snapshot.intent_rule_of
+                       (Intent.find_rule store ~table_id ~priority ~match_) )
+                 in
+                 let groups =
+                   if groups_changed then
+                     Some (List.map Snapshot.intent_group_of (Intent.groups store))
+                   else None
+                 in
+                 apply_u
+                   (Incremental.Intent_delta { dpid; rules = List.map current keys; groups })))
       | None -> ());
       Scotch.on_install scotch (fun _sw _payloads ->
           st.installs_issued <- st.installs_issued + 1);

@@ -30,17 +30,23 @@
        changes, and on table-0 deltas only when the delta contains a
        miss-shaped (priority-0 wildcard) rule — per-flow rule churn
        cannot change miss coverage.}
-    {- {b Divergence}: cached per reliable-managed switch; recomputed
-       on that switch's deltas, on the intent nodes an intent refresh
-       actually changed, and when an in-grace device rule ages past the
-       repair grace ({!Inv_divergence.deadline}).}}
+    {- {b Divergence}: each reliable-managed switch keeps a slot-keyed
+       intent store, (table, priority, match) -> intent, fed by
+       {!Intent_delta}, and a finding per diverging slot.  A
+       {!Table_delta} re-grades only its own slots against the rule
+       store, an {!Intent_delta} only the keys it carries, and a
+       min-heap of grace deadlines re-grades a slot (or the switch's
+       groups) when an in-grace entry ages into visibility
+       ({!Inv_divergence.slot_deadline}).  Only liveness ({!Ports}),
+       reseeds and a late-joining switch grade a whole switch.}}
 
     Rule state is held in slot-keyed per-table stores so a
     {!Table_delta} (the switch tap's shape) costs O(delta) even on a
     table holding tens of thousands of reactive rules: the model's rule
     {e list} for a churned table is merely marked stale and
     re-materialized on demand, before any whole-model reader (the
-    full-rescan audit, coverage, a node rebuild) runs.
+    full-rescan audit, coverage, a node rebuild) runs.  The model's
+    intent lists are kept the same way.
 
     All per-class and per-rule oracles are the same [Inv_*] functions
     the snapshot {!Checker} composes, so the two paths cannot drift;
@@ -78,7 +84,14 @@ type update =
   | Remove_node of int
   | Hosts of S.host list
   | Overlay of S.overlay_state option
-  | Intents of S.intent_state option
+  | Intent_delta of {
+      dpid : int;
+      rules : (Scotch_reliable.Intent.key * S.intent_rule option) list;
+      groups : S.intent_group list option;
+    }
+      (** a reliable-managed switch's intent change: the current intent
+          of each touched key ([None] = removed) and, when they changed,
+          all its intent groups — the reliable layer's install tap *)
   | Managed of { managed : int list; vswitch_dpids : int list }
   | Tick  (** pure virtual-time advance (grace aging) *)
 
@@ -107,6 +120,17 @@ type local_cache = {
   lc_shadow : (int, shadow_tbl) Hashtbl.t; (* table_id -> state *)
 }
 
+(** Divergence state of one reliable-managed switch. *)
+type div_sw = {
+  d_intents : (Scotch_reliable.Intent.key, S.intent_rule) Hashtbl.t; (* slot-keyed *)
+  mutable d_groups : S.intent_group list;
+  d_findings : (Scotch_reliable.Intent.key, D.t list) Hashtbl.t; (* diverging slots only *)
+  mutable d_grp : D.t list; (* group findings *)
+}
+
+(** What a grace deadline re-grades. *)
+type due_target = Due_slot of Scotch_reliable.Intent.key | Due_groups
+
 let lat_cap = 8192
 
 type t = {
@@ -133,8 +157,11 @@ type t = {
          already built, so no walk rebuilds one from the stale list. *)
   local : (int, local_cache) Hashtbl.t; (* per-node blackhole+shadow+group *)
   mutable coverage : D.t list;
-  div : (int, D.t list) Hashtbl.t;
-  div_deadlines : (int, float) Hashtbl.t;
+  div : (int, div_sw) Hashtbl.t; (* reliable-managed dpid -> divergence state *)
+  int_stale : (int, unit) Hashtbl.t;
+      (* dpids whose model intent node lags its [div] store; flushed
+         before any whole-model read *)
+  due : (float * int * due_target) Scotch_util.Heap.t; (* grace deadlines, earliest first *)
   mutable ledger : int DMap.t;
       (* live diagnostic -> multiplicity across every cache; its key
          set IS the current diagnostic set *)
@@ -359,8 +386,45 @@ let flush_node t dpid =
   List.iter (flush_table t)
     (Hashtbl.fold (fun ((d, _) as k) () acc -> if d = dpid then k :: acc else acc) t.stale [])
 
-let flush_all t =
+let flush_tables t =
   List.iter (flush_table t) (Hashtbl.fold (fun k () acc -> k :: acc) t.stale [])
+
+let materialize_intents dpid sw =
+  { S.int_dpid = dpid;
+    int_rules =
+      List.sort
+        (fun (a : S.intent_rule) b ->
+          compare (a.S.ir_table, a.S.ir_priority, a.S.ir_match)
+            (b.S.ir_table, b.S.ir_priority, b.S.ir_match))
+        (Hashtbl.fold (fun _ ir acc -> ir :: acc) sw.d_intents []);
+    int_groups = sw.d_groups }
+
+let flush_intents t =
+  match t.model.S.intents with
+  | Some st when Hashtbl.length t.int_stale > 0 ->
+    let fresh =
+      Hashtbl.fold
+        (fun dpid () acc ->
+          match Hashtbl.find_opt t.div dpid with
+          | Some sw -> materialize_intents dpid sw :: acc
+          | None -> acc)
+        t.int_stale []
+    in
+    let kept =
+      List.filter
+        (fun (i : S.intent_node) -> not (Hashtbl.mem t.int_stale i.S.int_dpid))
+        st.S.per_switch
+    in
+    Hashtbl.clear t.int_stale;
+    let per_switch =
+      List.sort (fun (a : S.intent_node) b -> compare a.S.int_dpid b.S.int_dpid) (fresh @ kept)
+    in
+    t.model <- { t.model with S.intents = Some { st with S.per_switch } }
+  | _ -> ()
+
+let flush_all t =
+  flush_tables t;
+  flush_intents t
 
 (* ------------------------------------------------------------------ *)
 (* Per-invariant recomputation via the shared oracles *)
@@ -493,55 +557,182 @@ let retract_local t lc =
     lc.lc_shadow
 
 let recompute_all_local t =
-  flush_all t;
+  flush_tables t;
   Hashtbl.iter (fun _ lc -> retract_local t lc) t.local;
   Hashtbl.reset t.local;
   List.iter
     (fun (n : S.node) -> Hashtbl.replace t.local n.S.dpid (build_local t n))
     t.model.S.nodes
 
-(* --- divergence --- *)
+(* --- divergence: per-slot grading against the rule stores --- *)
 
-let recompute_divergence t dpid =
-  let clear () =
-    (match Hashtbl.find_opt t.div dpid with
-    | Some ((_ :: _) as old) -> ledger_remove t old
-    | _ -> ());
-    Hashtbl.remove t.div dpid;
-    Hashtbl.remove t.div_deadlines dpid
+(* A deadline this close ahead already pops: the oracle's age test
+   ([now - at < grace]) can pass an ulp before the rounded due time
+   [at + grace] (grace 0.75, at 0.24999999999999173: aged at
+   0.9999999999999917, due 0.9999999999999918), and an early re-grade
+   that finds the entry still in grace just re-pushes it. *)
+let due_slack = 1e-9
+
+let replace_findings t old ds =
+  if old <> ds then begin
+    ledger_remove t old;
+    ledger_add t ds
+  end
+
+(* [n]: the switch's live model node, if any — a failed or absent
+   switch has no divergence (the resync at recovery owns it). *)
+let grade_slot t st sw n dpid ((table_id, priority, match_) as k) =
+  let device = Hashtbl.find_opt (store_of t dpid table_id) (priority, match_) in
+  let intent = Hashtbl.find_opt sw.d_intents k in
+  let ds =
+    match n with
+    | None -> []
+    | Some n ->
+      Option.iter
+        (fun due -> Scotch_util.Heap.push t.due (due, dpid, Due_slot k))
+        (Inv_divergence.slot_deadline t.model st ~device ~intent);
+      Inv_divergence.slot t.model st n ~table_id ~device ~intent
   in
-  match t.model.S.intents with
-  | None -> clear ()
-  | Some st -> (
-    match List.find_opt (fun (i : S.intent_node) -> i.S.int_dpid = dpid) st.S.per_switch with
-    | None -> clear ()
-    | Some inode ->
-      flush_node t dpid; (* the oracle diffs intents against device rules *)
-      let ds = Inv_divergence.node t.model st inode in
-      (match (Hashtbl.find_opt t.div dpid, ds) with
-      | None, [] -> ()
-      | Some old, _ when old = ds -> ()
-      | old, _ ->
-        Option.iter (ledger_remove t) old;
-        ledger_add t ds);
-      if ds = [] then Hashtbl.remove t.div dpid else Hashtbl.replace t.div dpid ds;
-      (match Inv_divergence.deadline t.model st inode with
-      | Some due -> Hashtbl.replace t.div_deadlines dpid due
-      | None -> Hashtbl.remove t.div_deadlines dpid))
+  let old = Option.value (Hashtbl.find_opt sw.d_findings k) ~default:[] in
+  replace_findings t old ds;
+  if ds = [] then (if old <> [] then Hashtbl.remove sw.d_findings k)
+  else Hashtbl.replace sw.d_findings k ds
 
-let recompute_all_divergence t =
-  Hashtbl.iter (fun _ ds -> ledger_remove t ds) t.div;
+let grade_groups t st sw n dpid =
+  let ds =
+    match n with
+    | None -> []
+    | Some n ->
+      Option.iter
+        (fun due -> Scotch_util.Heap.push t.due (due, dpid, Due_groups))
+        (Inv_divergence.groups_deadline t.model st sw.d_groups);
+      Inv_divergence.groups t.model st n sw.d_groups
+  in
+  replace_findings t sw.d_grp ds;
+  sw.d_grp <- ds
+
+(* Grade every slot of one switch — device rules and intents alike. *)
+let grade_switch t dpid =
+  match (t.model.S.intents, Hashtbl.find_opt t.div dpid) with
+  | Some st, Some sw ->
+    let n = Inv_divergence.live_node t.model dpid in
+    (match S.node t.model dpid with
+    | Some node ->
+      List.iter
+        (fun (table_id, _) ->
+          Hashtbl.iter
+            (fun (priority, match_) _ -> grade_slot t st sw n dpid (table_id, priority, match_))
+            (store_of t dpid table_id))
+        node.S.rules
+    | None -> ());
+    Hashtbl.iter
+      (fun ((table_id, priority, match_) as k) _ ->
+        if not (Hashtbl.mem (store_of t dpid table_id) (priority, match_)) then
+          grade_slot t st sw n dpid k)
+      sw.d_intents;
+    grade_groups t st sw n dpid
+  | _ -> ()
+
+let fresh_div_sw () =
+  { d_intents = Hashtbl.create 16; d_groups = []; d_findings = Hashtbl.create 4; d_grp = [] }
+
+(* Rebuild every switch's divergence state from the model's intents,
+   which the caller made authoritative. *)
+let reseed_divergence t =
+  Hashtbl.iter
+    (fun _ sw ->
+      Hashtbl.iter (fun _ ds -> ledger_remove t ds) sw.d_findings;
+      ledger_remove t sw.d_grp)
+    t.div;
   Hashtbl.reset t.div;
-  Hashtbl.reset t.div_deadlines;
+  Hashtbl.reset t.int_stale;
+  Scotch_util.Heap.clear t.due;
   match t.model.S.intents with
   | None -> ()
   | Some st ->
-    List.iter (fun (i : S.intent_node) -> recompute_divergence t i.S.int_dpid) st.S.per_switch
+    List.iter
+      (fun (inode : S.intent_node) ->
+        let sw = fresh_div_sw () in
+        List.iter
+          (fun (ir : S.intent_rule) ->
+            Hashtbl.replace sw.d_intents (ir.S.ir_table, ir.S.ir_priority, ir.S.ir_match) ir)
+          inode.S.int_rules;
+        sw.d_groups <- inode.S.int_groups;
+        Hashtbl.replace t.div inode.S.int_dpid sw;
+        grade_switch t inode.S.int_dpid)
+      st.S.per_switch
+
+(* Re-grade what a device delta touched on one switch. *)
+let regrade_table_slots t dpid ~table_id rules =
+  match (t.model.S.intents, Hashtbl.find_opt t.div dpid) with
+  | Some st, Some sw ->
+    let n = Inv_divergence.live_node t.model dpid in
+    List.iter
+      (fun (r : Flow_table.rule) ->
+        grade_slot t st sw n dpid (table_id, r.Flow_table.priority, r.Flow_table.match_))
+      rules
+  | _ -> ()
+
+let regrade_groups t dpid =
+  match (t.model.S.intents, Hashtbl.find_opt t.div dpid) with
+  | Some st, Some sw -> grade_groups t st sw (Inv_divergence.live_node t.model dpid) dpid
+  | _ -> ()
+
+let intent_delta t ~dpid ~rules ~groups =
+  match t.model.S.intents with
+  | None -> () (* no reliable layer in the model: nothing to diff against *)
+  | Some st ->
+    let sw, joined =
+      match Hashtbl.find_opt t.div dpid with
+      | Some sw -> (sw, false)
+      | None ->
+        let sw = fresh_div_sw () in
+        Hashtbl.replace t.div dpid sw;
+        (sw, true)
+    in
+    List.iter
+      (fun (k, v) ->
+        match v with
+        | Some ir -> Hashtbl.replace sw.d_intents k ir
+        | None -> Hashtbl.remove sw.d_intents k)
+      rules;
+    Option.iter (fun g -> sw.d_groups <- g) groups;
+    if joined || rules <> [] || groups <> None then Hashtbl.replace t.int_stale dpid ();
+    if joined then grade_switch t dpid
+    else begin
+      let n = Inv_divergence.live_node t.model dpid in
+      List.iter (fun (k, _) -> grade_slot t st sw n dpid k) rules;
+      if groups <> None then grade_groups t st sw n dpid
+    end
+
+(* Pop every due deadline first, then re-grade: an entry re-pushed at
+   an ulp boundary waits for the next apply instead of spinning. *)
+let due_divergence t ~now =
+  let rec pop acc =
+    match Scotch_util.Heap.peek t.due with
+    | Some ((due, _, _) as e) when due <= now +. due_slack ->
+      ignore (Scotch_util.Heap.pop t.due);
+      pop (e :: acc)
+    | _ -> acc
+  in
+  match (pop [], t.model.S.intents) with
+  | [], _ | _, None -> ()
+  | entries, Some st ->
+    List.iter
+      (fun (_, dpid, target) ->
+        match Hashtbl.find_opt t.div dpid with
+        | None -> ()
+        | Some sw -> (
+          let n = Inv_divergence.live_node t.model dpid in
+          match target with
+          | Due_slot k -> grade_slot t st sw n dpid k
+          | Due_groups -> grade_groups t st sw n dpid))
+      entries
 
 (* --- coverage --- *)
 
 let recompute_coverage t =
-  flush_all t;
+  flush_tables t;
   let c = Inv_coverage.snapshot t.model in
   if c <> t.coverage then begin
     ledger_remove t t.coverage;
@@ -692,7 +883,7 @@ let reseed_all t dirty =
   ledger_remove t t.coverage;
   t.coverage <- Inv_coverage.snapshot t.model;
   ledger_add t t.coverage;
-  recompute_all_divergence t
+  reseed_divergence t
 
 (* The shared Table guts: fold one table's rule delta into the store,
    the walk index, the class universe and every per-invariant cache —
@@ -781,7 +972,8 @@ let table_delta t dirty ~dpid ~table_id ~added ~removed =
             end));
       if table_id = 0 && List.exists miss_shaped (added @ removed) then
         recompute_coverage t;
-      recompute_divergence t dpid
+      regrade_table_slots t dpid ~table_id added;
+      regrade_table_slots t dpid ~table_id removed
     end
 
 let apply_update t dirty u =
@@ -818,7 +1010,7 @@ let apply_update t dirty u =
           (* rules may point at groups that just (dis)appeared *)
           rebuild_blackhole t lc n')
       | _ -> ());
-      recompute_divergence t dpid)
+      regrade_groups t dpid)
   | Ports { dpid; ports; failed } -> (
     flush_node t dpid;
     match S.node t.model dpid with
@@ -839,7 +1031,7 @@ let apply_update t dirty u =
       end;
       recompute_all_local t;
       recompute_coverage t;
-      recompute_divergence t dpid)
+      grade_switch t dpid)
   | Node _ | Remove_node _ | Hosts _ | Managed _ ->
     flush_all t; (* the reseed below reads every node's rules *)
     (match u with
@@ -857,29 +1049,7 @@ let apply_update t dirty u =
     t.model <- { t.model with S.overlay = overlay };
     recompute_all_local t;
     recompute_coverage t
-  | Intents intents -> (
-    let old = t.model.S.intents in
-    t.model <- { t.model with S.intents = intents };
-    match (old, intents) with
-    | None, None -> ()
-    | Some o, Some nw when o.S.grace = nw.S.grace && o.S.owned = nw.S.owned ->
-      (* re-diff only the switches whose intent node changed *)
-      let node_of (st : S.intent_state) d =
-        List.find_opt (fun (i : S.intent_node) -> i.S.int_dpid = d) st.S.per_switch
-      in
-      let dpids =
-        List.sort_uniq compare
-          (List.map (fun (i : S.intent_node) -> i.S.int_dpid) o.S.per_switch
-          @ List.map (fun (i : S.intent_node) -> i.S.int_dpid) nw.S.per_switch)
-      in
-      List.iter (fun d -> if node_of o d <> node_of nw d then recompute_divergence t d) dpids
-    | _ -> recompute_all_divergence t)
-
-let due_divergence t ~now =
-  let due =
-    Hashtbl.fold (fun d t' acc -> if t' <= now then d :: acc else acc) t.div_deadlines []
-  in
-  List.iter (fun dpid -> recompute_divergence t dpid) due
+  | Intent_delta { dpid; rules; groups } -> intent_delta t ~dpid ~rules ~groups
 
 let apply t ~now u =
   let t0 = Unix.gettimeofday () in
@@ -914,7 +1084,8 @@ let create ?(now = 0.0) snap =
       local = Hashtbl.create 64;
       coverage = [];
       div = Hashtbl.create 16;
-      div_deadlines = Hashtbl.create 16;
+      int_stale = Hashtbl.create 16;
+      due = Scotch_util.Heap.create ~cmp:(fun (a, _, _) (b, _, _) -> Float.compare a b);
       ledger = DMap.empty;
       changed = DMap.empty;
       first_seen = DMap.empty;

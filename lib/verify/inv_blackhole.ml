@@ -10,8 +10,13 @@ module S = Snapshot
 
 let name = "blackhole"
 
+(* The rule is printed only when a finding is emitted: nearly every
+   graded rule is clean, and printing a match is costly. *)
 let rule snap (n : S.node) ~table_id (r : Flow_table.rule) =
-  let mk = D.make ~dpid:n.S.dpid ~table_id ~rule:(Inv_common.pp_rule r) in
+  let printed = lazy (Inv_common.pp_rule r) in
+  let mk ~severity ~invariant msg =
+    D.make ~dpid:n.S.dpid ~table_id ~rule:(Lazy.force printed) ~severity ~invariant msg
+  in
   let actions = Of_action.actions_of_instructions r.Flow_table.instructions in
   let goto = Of_action.goto_of_instructions r.Flow_table.instructions in
   let empty =
@@ -25,7 +30,7 @@ let rule snap (n : S.node) ~table_id (r : Flow_table.rule) =
       (function
         | Of_action.Output (Of_types.Port_no.Physical p) ->
           Inv_common.check_output snap n ~invariant:D.Blackhole ~dead_severity:D.Warning
-            ~table_id ~rule:(Inv_common.pp_rule r) p
+            ~table_id ~rule:printed p
         | Of_action.Group gid ->
           if List.exists (fun (g : S.group) -> g.S.group_id = gid) n.S.groups then []
           else

@@ -42,9 +42,12 @@ let peer_live snap dpid =
     dead endpoint: {e rules} pointing at a dead switch are warnings
     (idle timeouts reclaim them; §5.6 rehashing reroutes the flows),
     while {e group buckets} doing so are errors (groups never expire —
-    only the failover rebalance can fix them). *)
+    only the failover rebalance can fix them).  [rule] is printed only
+    when a finding is emitted. *)
 let check_output snap (n : S.node) ~invariant ~dead_severity ?table_id ?rule port_id =
-  let mk = D.make ~dpid:n.S.dpid ?table_id ?rule ~invariant in
+  let mk ~severity msg =
+    D.make ~dpid:n.S.dpid ?table_id ?rule:(Option.map Lazy.force rule) ~invariant ~severity msg
+  in
   match S.find_port n port_id with
   | None -> [ mk ~severity:D.Error (Printf.sprintf "output to unknown port %d" port_id) ]
   | Some p ->

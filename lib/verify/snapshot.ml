@@ -52,14 +52,14 @@ type intent_rule = {
   ir_match : Scotch_openflow.Of_match.t;
   ir_cookie : Scotch_openflow.Of_types.cookie;
   ir_durable : bool;
-  ir_age : float;
+  ir_recorded_at : float;
 }
 
 type intent_group = {
   ig_id : int;
   ig_type : Scotch_openflow.Of_msg.Group_mod.group_type;
   ig_buckets : Scotch_openflow.Of_msg.Group_mod.bucket list;
-  ig_age : float;
+  ig_recorded_at : float;
 }
 
 type intent_node = {
@@ -187,13 +187,22 @@ let capture_overlay ov =
     mesh = List.sort compare !mesh;
     deliveries = List.sort compare !deliveries }
 
+module I = Scotch_reliable.Intent
+
+let intent_rule_of (ir : I.rule) =
+  { ir_table = ir.I.table_id; ir_priority = ir.I.priority; ir_match = ir.I.match_;
+    ir_cookie = ir.I.cookie; ir_durable = I.is_durable ir; ir_recorded_at = ir.I.recorded_at }
+
+let intent_group_of (ig : I.group) =
+  { ig_id = ig.I.group_id; ig_type = ig.I.group_type; ig_buckets = ig.I.buckets;
+    ig_recorded_at = ig.I.recorded_at }
+
 (** Freeze the reliable layer's intent stores (when the app has one), so
     the checker can diff intent against the captured device tables.  The
     repair grace rides along: both intents and device rules younger than
     it may legitimately still be in flight. *)
-let capture_intents ~now r =
+let capture_intents r =
   let module R = Scotch_reliable.Reliable in
-  let module I = Scotch_reliable.Intent in
   let cfg = R.config r in
   let per_switch =
     List.filter_map
@@ -201,19 +210,8 @@ let capture_intents ~now r =
         Option.map
           (fun intents ->
             { int_dpid = dpid;
-              int_rules =
-                List.map
-                  (fun (ir : I.rule) ->
-                    { ir_table = ir.I.table_id; ir_priority = ir.I.priority;
-                      ir_match = ir.I.match_; ir_cookie = ir.I.cookie;
-                      ir_durable = I.is_durable ir; ir_age = now -. ir.I.recorded_at })
-                  (I.rules intents);
-              int_groups =
-                List.map
-                  (fun (ig : I.group) ->
-                    { ig_id = ig.I.group_id; ig_type = ig.I.group_type;
-                      ig_buckets = ig.I.buckets; ig_age = now -. ig.I.recorded_at })
-                  (I.groups intents) })
+              int_rules = List.map intent_rule_of (I.rules intents);
+              int_groups = List.map intent_group_of (I.groups intents) })
           (R.intent_of r dpid))
       (R.dpids r)
   in
@@ -240,4 +238,4 @@ let capture ?scotch ~now topo =
     vswitch_dpids = (match scotch with Some s -> Scotch.vswitch_dpids s | None -> []);
     overlay = Option.map (fun s -> capture_overlay (Scotch.overlay s)) scotch;
     intents =
-      Option.bind scotch (fun s -> Option.map (capture_intents ~now) (Scotch.reliable s)) }
+      Option.bind scotch (fun s -> Option.map capture_intents (Scotch.reliable s)) }

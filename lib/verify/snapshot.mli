@@ -53,21 +53,23 @@ type host = {
 }
 
 (** One frozen intent-store rule (reliable layer): identity, owner
-    cookie, durability class and age at capture time. *)
+    cookie, durability class and the virtual time the intent was (last)
+    recorded.  Its age is always [snapshot.now − ir_recorded_at], so a
+    captured intent ages with the snapshot it sits in. *)
 type intent_rule = {
   ir_table : int;
   ir_priority : int;
   ir_match : Scotch_openflow.Of_match.t;
   ir_cookie : Scotch_openflow.Of_types.cookie;
   ir_durable : bool;  (** no timeouts: must exist on the device *)
-  ir_age : float;     (** seconds since the intent was recorded *)
+  ir_recorded_at : float;  (** virtual time the intent was recorded *)
 }
 
 type intent_group = {
   ig_id : int;
   ig_type : Scotch_openflow.Of_msg.Group_mod.group_type;
   ig_buckets : Scotch_openflow.Of_msg.Group_mod.bucket list;
-  ig_age : float;
+  ig_recorded_at : float;
 }
 
 type intent_node = {
@@ -121,9 +123,15 @@ val controlled : t -> int list
     managed/vswitch dpid sets. *)
 val capture : ?scotch:Scotch_core.Scotch.t -> now:float -> Scotch_topo.Topology.t -> t
 
-(** Freeze just the reliable layer's intent stores — the incremental
-    verifier's per-install intent resync ({!capture} does this as part
-    of a full capture). *)
-val capture_intents : now:float -> Scotch_reliable.Reliable.t -> intent_state
+(** Freeze just the reliable layer's intent stores ({!capture} does
+    this as part of a full capture).  Entries keep their recording
+    times, so the result does not depend on when it is taken. *)
+val capture_intents : Scotch_reliable.Reliable.t -> intent_state
+
+(** Freeze one intent rule / group — the incremental verifier's
+    per-key intent deltas. *)
+val intent_rule_of : Scotch_reliable.Intent.rule -> intent_rule
+
+val intent_group_of : Scotch_reliable.Intent.group -> intent_group
 
 val pp_endpoint : Format.formatter -> endpoint -> unit

@@ -11,18 +11,25 @@
    zero invariant errors (including the divergence class) and
    exposure-bounded flow loss are judged by the same oracles as the
    searched chaos trials.  Prints the reconciliation-ledger digest —
-   the bit-identity check for seeded runs.  Exits non-zero on any
-   miss. *)
+   the bit-identity check for seeded runs.
+
+   The same storm then runs again under continuous verification, which
+   feeds every install and reconciler forget through the incremental
+   verifier's intent deltas: it must apply updates, audit at least once
+   against a full rescan with zero mismatches, and leave the
+   reconciliation digest unchanged (verification observes, it never
+   steers).  Exits non-zero on any miss. *)
 
 open Scotch_faults
 module R = Scotch_reliable.Reliable
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("reconcile smoke FAILED: " ^ s); exit 1) fmt
 
-let () =
+(* One storm run, judged; returns the run and its reconciliation digest. *)
+let storm ?config () =
   let o =
-    Scotch_experiments.Resilience.run_outcome ~seed:42 ~scale:0.25 ~kills:1 ~multiplier:5.0
-      ~reconcile:true ~drop_p:0.2 ()
+    Scotch_experiments.Resilience.run_outcome ?config ~seed:42 ~scale:0.25 ~kills:1
+      ~multiplier:5.0 ~reconcile:true ~drop_p:0.2 ()
   in
   let net = o.Scotch_experiments.Resilience.net in
   let r =
@@ -72,4 +79,26 @@ let () =
   | vs ->
     List.iter (fun v -> prerr_endline (Format.asprintf "%a" O.pp_violation v)) vs;
     fail "%d oracle violation(s) after convergence" (List.length vs));
-  Printf.printf "reconcile smoke OK (reconciliation digest %s)\n" (R.digest r)
+  (o, R.digest r)
+
+let () =
+  let _, digest = storm () in
+  Printf.printf "reconcile smoke OK (reconciliation digest %s)\n" digest;
+  let config = { Scotch_core.Config.default with Scotch_core.Config.verify = Continuous } in
+  let o, digest_verified = storm ~config () in
+  let module Inc = Scotch_verify.Incremental in
+  let incr =
+    match Option.bind o.Scotch_experiments.Resilience.verify Scotch_verify.Hooks.incremental with
+    | Some i -> i
+    | None -> fail "continuous verification built no incremental verifier"
+  in
+  let s = Inc.stats incr in
+  Printf.printf "continuous verify: %d updates, %d audits, %d mismatches\n" s.Inc.updates
+    s.Inc.equiv_checks s.Inc.equiv_mismatches;
+  if s.Inc.updates = 0 then fail "the verifier applied no updates";
+  if s.Inc.equiv_checks = 0 then fail "the verifier ran no equivalence audit";
+  if s.Inc.equiv_mismatches > 0 then fail "%d equivalence-audit mismatches" s.Inc.equiv_mismatches;
+  if digest_verified <> digest then
+    fail "reconciliation digest %s under continuous verify, %s without" digest_verified digest;
+  Printf.printf "reconcile smoke (continuous verify) OK (reconciliation digest %s)\n"
+    digest_verified

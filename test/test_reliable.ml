@@ -162,6 +162,66 @@ let test_churn_no_resurrection () =
     (R.stats r).R.repairs_orphan
 
 (* ------------------------------------------------------------------ *)
+(* The install tap: the incremental verifier's only intent feed, so it
+   must name every intent key each change touched *)
+
+let test_tap_reports_keys () =
+  let e = Scotch_sim.Engine.create () in
+  let topo = Topology.create e in
+  let vsw = Switch.create e ~dpid:100 ~name:"vsw100" ~profile:fast_profile () in
+  Topology.add_switch topo vsw;
+  let ctrl = C.create e topo in
+  let h = C.connect ctrl vsw ~latency:0.001 in
+  let r = R.create ~config:(R.default_config ~owned_cookies:[ owned_cookie ] ()) ctrl in
+  R.register_switch r h;
+  let seen = ref [] in
+  R.set_on_install r
+    (Some (fun dpid keys ~groups_changed -> seen := (dpid, keys, groups_changed) :: !seen));
+  let take () =
+    let s = List.rev !seen in
+    seen := [];
+    s
+  in
+  let m = Of_match.exact_flow (Scotch_packet.Packet.flow_key (mk_packet 1)) in
+  let fm ?(hard_timeout = 0.0) ~priority () =
+    Of_msg.Flow_mod.add ~priority ~hard_timeout ~cookie:owned_cookie ~match_:m
+      ~instructions:(Of_action.output (Of_types.Port_no.Physical 1)) ()
+  in
+  let one = Alcotest.(list (triple int (list (triple int int bool)) bool)) in
+  (* keys are compared by (table, priority, is-this-match) *)
+  let shape = List.map (fun (d, ks, g) -> (d, List.map (fun (t, p, m') -> (t, p, m' = m)) ks, g)) in
+  R.flow_mod r h (fm ~priority:10 ());
+  Alcotest.check one "Add reports its key" [ (100, [ (0, 10, true) ], false) ] (shape (take ()));
+  R.flow_mod r h { (fm ~priority:10 ()) with Of_msg.Flow_mod.command = Of_msg.Flow_mod.Modify };
+  Alcotest.check one "Modify reports its key" [ (100, [ (0, 10, true) ], false) ] (shape (take ()));
+  R.flow_mod r h (fm ~priority:20 ());
+  ignore (take ());
+  R.flow_mod r h (Of_msg.Flow_mod.delete ~table_id:0 ~match_:m ());
+  (match take () with
+  | [ (100, keys, false) ] ->
+    Alcotest.(check (list (pair int int))) "Delete reports every priority of the match"
+      [ (0, 10); (0, 20) ]
+      (List.sort compare (List.map (fun (t, p, _) -> (t, p)) keys))
+  | got -> Alcotest.failf "Delete: expected one notification, got %d" (List.length got));
+  R.group_mod r h
+    (Of_msg.Group_mod.add_select ~group_id:7
+       ~buckets:[ { Of_msg.Group_mod.weight = 1; actions = [] } ]);
+  Alcotest.check one "a group mod sets the flag" [ (100, [], true) ] (shape (take ()));
+  (* an ephemeral rule the device expires: the reconciler forgets its
+     intent and must report the key *)
+  R.flow_mod r h (fm ~priority:30 ~hard_timeout:0.3 ());
+  ignore (take ());
+  R.start r;
+  Scotch_sim.Engine.run e ~until:3.0;
+  Alcotest.(check bool) "intent forgotten" true
+    (Scotch_reliable.Intent.find_rule (Option.get (R.intent_of r 100)) ~table_id:0 ~priority:30
+       ~match_:m
+    = None);
+  Alcotest.check one "a reconciler forget reports the expired key"
+    [ (100, [ (0, 30, true) ], false) ]
+    (shape (take ()))
+
+(* ------------------------------------------------------------------ *)
 (* The reconciler under the acceptance storm *)
 
 (* drop_p = 0.2 on every control channel across the flash window, one
@@ -255,4 +315,5 @@ let () =
           Alcotest.test_case "storm digest deterministic" `Quick test_storm_digest_deterministic;
           Alcotest.test_case "unimpaired run is quiet" `Quick test_unimpaired_run_is_quiet;
           Alcotest.test_case "pool churn: no orphan resurrection" `Quick
-            test_churn_no_resurrection ] ) ]
+            test_churn_no_resurrection;
+          Alcotest.test_case "install tap reports touched keys" `Quick test_tap_reports_keys ] ) ]

@@ -12,10 +12,10 @@ module S = V.Snapshot
 (* ------------------------------------------------------------------ *)
 (* Fixture builders: snapshots forged directly, no simulation *)
 
-let rule ?(priority = 10) ~match_ ~instructions () : Flow_table.rule =
-  { Flow_table.priority; match_; instructions; idle_timeout = 0.0; hard_timeout = 0.0;
-    cookie = Of_types.cookie_none; installed_at = 0.0; last_used = 0.0; packet_count = 0;
-    byte_count = 0 }
+let rule ?(priority = 10) ?(cookie = Of_types.cookie_none) ?(installed_at = 0.0) ~match_
+    ~instructions () : Flow_table.rule =
+  { Flow_table.priority; match_; instructions; idle_timeout = 0.0; hard_timeout = 0.0; cookie;
+    installed_at; last_used = 0.0; packet_count = 0; byte_count = 0 }
 
 let port ?tunnel ?(link_up = Some true) ~endpoint port_id : S.port =
   { S.port_id; tunnel; link_up; endpoint }
@@ -229,9 +229,23 @@ let test_uplink_missing_origin () =
 module Incr = V.Incremental
 
 (* Small random topologies: [n] switches in a ring of data links plus a
-   host per switch; churn mutates rules, groups, ports and liveness. *)
+   host per switch; churn mutates rules, groups, ports and liveness, and
+   the reliable layer's intents. *)
 
 let gen_ip i = 0x0A000000 lor (i + 1)
+
+(* Reliable-layer fixture: a repair grace, the cookie whose device rules
+   the reconciler owns, and the durable table-miss intent every managed
+   switch starts with. *)
+let grace = 0.5
+let owned_cookie = 0xB0BL
+
+let intent_rule ~table ~prio ~match_ ~durable ~recorded_at : S.intent_rule =
+  { S.ir_table = table; ir_priority = prio; ir_match = match_; ir_cookie = owned_cookie;
+    ir_durable = durable; ir_recorded_at = recorded_at }
+
+let miss_intent () =
+  intent_rule ~table:0 ~prio:0 ~match_:Of_match.wildcard ~durable:true ~recorded_at:0.0
 
 let gen_base_snap ~switches =
   let hosts =
@@ -248,31 +262,55 @@ let gen_base_snap ~switches =
               port 2 ~endpoint:(S.To_switch { peer = next; peer_in_port = 3 });
               port 3 ~endpoint:(S.To_switch { peer = prev; peer_in_port = 2 }) ])
   in
-  snap ~hosts ~managed:(List.init switches (fun i -> i + 1)) nodes
+  (* the last switch has no intent node yet: its first intent delta is
+     a late join *)
+  let intents =
+    { S.grace; owned = [ owned_cookie ];
+      per_switch =
+        List.init (switches - 1) (fun i ->
+            { S.int_dpid = i + 1; int_rules = [ miss_intent () ]; int_groups = [] }) }
+  in
+  snap ~hosts ~managed:(List.init switches (fun i -> i + 1)) ~intents nodes
 
 (* A churn step, encoded as data so qcheck can shrink sequences.
    [delta] picks the update encoding: the full post-change rule list
    ([Incr.Table], diffed inside the verifier) or the rule delta itself
-   ([Incr.Table_delta], the switch tap's production shape). *)
+   ([Incr.Table_delta], the switch tap's production shape).  Ages are
+   seconds before the step's virtual time; [Tick] only moves time. *)
 type churn =
   | Add_rule of {
       dpid : int; table : int; prio : int; src : int; dst : int; out : int; delta : bool;
     }
+  | Add_owned of { dpid : int; table : int; prio : int; src : int; dst : int; age : float }
   | Add_wild of { dpid : int; prio : int; proto : int; out : int }
   | Del_rule of { dpid : int; table : int; idx : int; delta : bool }
   | Set_group of { dpid : int; gid : int; out : int; weight : int }
   | Drop_groups of { dpid : int }
   | Flip_failed of { dpid : int }
   | Drop_port of { dpid : int; idx : int }
+  | Set_intent of {
+      dpid : int; table : int; prio : int; src : int; dst : int; durable : bool; age : float;
+    }
+  | Del_intent of { dpid : int; table : int; src : int; dst : int }
+  | Forget_intent of { dpid : int; idx : int }
+  | Set_igroup of { dpid : int; gid : int; out : int; weight : int; age : float }
+  | Drop_igroup of { dpid : int; gid : int }
+  | Tick of { dt : float }
 
 let churn_gen ~switches =
   let open QCheck2.Gen in
   let dpid = int_range 1 switches in
+  let ip = int_range 0 (switches - 1) in
+  (* few slots, so intents and owned device rules collide often *)
+  let slot_prio = oneofl [ 5; 10 ] in
+  let age = oneofl [ 0.0; 0.3; 0.6 ] in
   oneof
     [ (let* d = dpid and* tbl = int_range 0 1 and* p = int_range 1 30
-       and* s = int_range 0 (switches - 1) and* dst = int_range 0 (switches - 1)
-       and* out = int_range 1 4 and* delta = bool in
+       and* s = ip and* dst = ip and* out = int_range 1 4 and* delta = bool in
        return (Add_rule { dpid = d; table = tbl; prio = p; src = s; dst; out; delta }));
+      (let* d = dpid and* tbl = int_range 0 1 and* p = slot_prio and* s = ip and* dst = ip
+       and* age = age in
+       return (Add_owned { dpid = d; table = tbl; prio = p; src = s; dst; age }));
       (let* d = dpid and* p = int_range 1 30 and* proto = oneofl [ 6; 17 ]
        and* out = int_range 1 4 in
        return (Add_wild { dpid = d; prio = p; proto; out }));
@@ -286,11 +324,54 @@ let churn_gen ~switches =
       (let* d = dpid in
        return (Flip_failed { dpid = d }));
       (let* d = dpid and* idx = int_range 0 3 in
-       return (Drop_port { dpid = d; idx })) ]
+       return (Drop_port { dpid = d; idx }));
+      (let* d = dpid and* tbl = int_range 0 1 and* p = slot_prio and* s = ip and* dst = ip
+       and* durable = bool and* age = age in
+       return (Set_intent { dpid = d; table = tbl; prio = p; src = s; dst; durable; age }));
+      (let* d = dpid and* tbl = int_range 0 1 and* s = ip and* dst = ip in
+       return (Del_intent { dpid = d; table = tbl; src = s; dst }));
+      (let* d = dpid and* idx = int_range 0 5 in
+       return (Forget_intent { dpid = d; idx }));
+      (let* d = dpid and* gid = int_range 1 3 and* out = int_range 1 4
+       and* w = int_range 1 2 and* age = age in
+       return (Set_igroup { dpid = d; gid; out; weight = w; age }));
+      (let* d = dpid and* gid = int_range 1 3 in
+       return (Drop_igroup { dpid = d; gid }));
+      (let* dt = oneofl [ 0.25; 0.5; 1.0 ] in
+       return (Tick { dt })) ]
 
-(* Apply one churn step to the pure model, returning the matching
-   incremental update. *)
-let step_of_churn model = function
+(* Flow_table ADD semantics on a full rule list: equal (match, priority)
+   replaces; the list stays in descending priority. *)
+let with_rule old (r : Flow_table.rule) =
+  let old =
+    List.filter
+      (fun (o : Flow_table.rule) ->
+        not
+          (o.Flow_table.priority = r.Flow_table.priority
+          && o.Flow_table.match_ = r.Flow_table.match_))
+      old
+  in
+  List.stable_sort
+    (fun (a : Flow_table.rule) b -> compare b.Flow_table.priority a.Flow_table.priority)
+    (r :: old)
+
+let table_rules (n : S.node) table = Option.value (List.assoc_opt table n.S.rules) ~default:[]
+
+let intent_node model dpid =
+  Option.bind model.S.intents (fun st ->
+      List.find_opt (fun (i : S.intent_node) -> i.S.int_dpid = dpid) st.S.per_switch)
+
+let intent_rules model dpid =
+  match intent_node model dpid with Some i -> i.S.int_rules | None -> []
+
+let intent_groups model dpid =
+  match intent_node model dpid with Some i -> i.S.int_groups | None -> []
+
+let intent_delta ?groups dpid rules = Incr.Intent_delta { dpid; rules; groups }
+
+(* Apply one churn step at virtual time [now] to the pure model,
+   returning the matching incremental update. *)
+let step_of_churn ~now model = function
   | Add_rule { dpid; table; prio; src; dst; out; delta } ->
     Option.map
       (fun (n : S.node) ->
@@ -300,22 +381,17 @@ let step_of_churn model = function
             ~instructions:(output out) ()
         in
         if delta then Incr.Table_delta { dpid; table_id = table; added = [ r ]; removed = [] }
-        else begin
-          let old = Option.value (List.assoc_opt table n.S.rules) ~default:[] in
-          (* Flow_table ADD semantics: equal (match, priority) replaces *)
-          let old =
-            List.filter
-              (fun (o : Flow_table.rule) ->
-                not (o.Flow_table.priority = prio && o.Flow_table.match_ = r.Flow_table.match_))
-              old
-          in
-          let rules =
-            List.stable_sort
-              (fun (a : Flow_table.rule) b -> compare b.Flow_table.priority a.Flow_table.priority)
-              (r :: old)
-          in
-          Incr.Table { dpid; table_id = table; rules }
-        end)
+        else Incr.Table { dpid; table_id = table; rules = with_rule (table_rules n table) r })
+      (S.node model dpid)
+  | Add_owned { dpid; table; prio; src; dst; age } ->
+    Option.map
+      (fun (_ : S.node) ->
+        let r =
+          rule ~priority:prio ~cookie:owned_cookie ~installed_at:(now -. age)
+            ~match_:(exact_match ~src:(gen_ip src) ~dst:(gen_ip dst))
+            ~instructions:(output 1) ()
+        in
+        Incr.Table_delta { dpid; table_id = table; added = [ r ]; removed = [] })
       (S.node model dpid)
   | Add_wild { dpid; prio; proto; out } ->
     Option.map
@@ -325,24 +401,12 @@ let step_of_churn model = function
             ~match_:(Of_match.with_ip_proto proto Of_match.wildcard)
             ~instructions:(output out) ()
         in
-        let old = Option.value (List.assoc_opt 0 n.S.rules) ~default:[] in
-        let old =
-          List.filter
-            (fun (o : Flow_table.rule) ->
-              not (o.Flow_table.priority = prio && o.Flow_table.match_ = r.Flow_table.match_))
-            old
-        in
-        let rules =
-          List.stable_sort
-            (fun (a : Flow_table.rule) b -> compare b.Flow_table.priority a.Flow_table.priority)
-            (r :: old)
-        in
-        Incr.Table { dpid; table_id = 0; rules })
+        Incr.Table { dpid; table_id = 0; rules = with_rule (table_rules n 0) r })
       (S.node model dpid)
   | Del_rule { dpid; table; idx; delta } ->
     Option.map
       (fun (n : S.node) ->
-        let old = Option.value (List.assoc_opt table n.S.rules) ~default:[] in
+        let old = table_rules n table in
         if delta then
           let removed = if old = [] then [] else [ List.nth old (idx mod List.length old) ] in
           Incr.Table_delta { dpid; table_id = table; added = []; removed }
@@ -375,34 +439,70 @@ let step_of_churn model = function
         in
         Incr.Ports { dpid; ports; failed = n.S.failed })
       (S.node model dpid)
+  | Set_intent { dpid; table; prio; src; dst; durable; age } ->
+    let match_ = exact_match ~src:(gen_ip src) ~dst:(gen_ip dst) in
+    Some
+      (intent_delta dpid
+         [ ( (table, prio, match_),
+             Some (intent_rule ~table ~prio ~match_ ~durable ~recorded_at:(now -. age)) ) ])
+  | Del_intent { dpid; table; src; dst } ->
+    (* Delete removes every priority holding the match *)
+    let match_ = exact_match ~src:(gen_ip src) ~dst:(gen_ip dst) in
+    Some
+      (intent_delta dpid
+         (List.filter_map
+            (fun (ir : S.intent_rule) ->
+              if ir.S.ir_table = table && ir.S.ir_match = match_ then
+                Some ((ir.S.ir_table, ir.S.ir_priority, ir.S.ir_match), None)
+              else None)
+            (intent_rules model dpid)))
+  | Forget_intent { dpid; idx } -> (
+    match intent_rules model dpid with
+    | [] -> None
+    | irs ->
+      let ir = List.nth irs (idx mod List.length irs) in
+      Some (intent_delta dpid [ ((ir.S.ir_table, ir.S.ir_priority, ir.S.ir_match), None) ]))
+  | Set_igroup { dpid; gid; out; weight; age } ->
+    let ig =
+      { S.ig_id = gid; ig_type = Of_msg.Group_mod.Select;
+        ig_buckets = [ bucket ~weight [ Of_action.Output (Of_types.Port_no.Physical out) ] ];
+        ig_recorded_at = now -. age }
+    in
+    let groups =
+      ig :: List.filter (fun (o : S.intent_group) -> o.S.ig_id <> gid) (intent_groups model dpid)
+      |> List.sort (fun (a : S.intent_group) b -> compare a.S.ig_id b.S.ig_id)
+    in
+    Some (intent_delta ~groups dpid [])
+  | Drop_igroup { dpid; gid } ->
+    let groups =
+      List.filter (fun (o : S.intent_group) -> o.S.ig_id <> gid) (intent_groups model dpid)
+    in
+    Some (intent_delta ~groups dpid [])
+  | Tick _ -> Some Incr.Tick
 
 let pp_diag_set ds = String.concat "\n" (List.map D.to_string ds)
+
+let same_diags want got =
+  List.length want = List.length got && List.for_all2 (fun a b -> D.compare a b = 0) want got
 
 let differential_prop (switches, steps) =
   let base = gen_base_snap ~switches in
   let incr = Incr.create ~now:0.0 base in
-  let ok0 =
-    let full = V.check (Incr.model incr) in
-    List.length full = List.length (Incr.diagnostics incr)
-    && List.for_all2 (fun a b -> D.compare a b = 0) full (Incr.diagnostics incr)
-  in
-  if not ok0 then
+  if not (same_diags (V.check (Incr.model incr)) (Incr.diagnostics incr)) then
     QCheck2.Test.fail_reportf "initial state diverges:@.full:@.%s@.incr:@.%s"
       (pp_diag_set (V.check (Incr.model incr)))
       (pp_diag_set (Incr.diagnostics incr));
+  let clock = ref 0.0 in
   List.iteri
     (fun i step ->
-      match step_of_churn (Incr.model incr) step with
+      clock := !clock +. (match step with Tick { dt } -> dt | _ -> 0.1);
+      let now = !clock in
+      match step_of_churn ~now (Incr.model incr) step with
       | None -> ()
       | Some u ->
-        let now = 0.1 *. float_of_int (i + 1) in
         let got = Incr.apply incr ~now u in
         let want = V.check (Incr.model incr) in
-        let same =
-          List.length want = List.length got
-          && List.for_all2 (fun a b -> D.compare a b = 0) want got
-        in
-        if not same then
+        if not (same_diags want got) then
           QCheck2.Test.fail_reportf
             "after churn step %d the sets diverge:@.full rescan:@.%s@.incremental:@.%s" i
             (pp_diag_set want) (pp_diag_set got))
@@ -412,12 +512,57 @@ let differential_prop (switches, steps) =
 
 let test_differential =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:60 ~name:"incremental == snapshot after every delta"
+    (QCheck2.Test.make ~count:80 ~name:"incremental == snapshot after every delta"
        QCheck2.Gen.(
          let* switches = int_range 2 4 in
-         let* steps = list_size (int_range 1 25) (churn_gen ~switches) in
+         let* steps = list_size (int_range 1 30) (churn_gen ~switches) in
          return (switches, steps))
        differential_prop)
+
+(* A durable intent the device lacks is in flight until its grace runs
+   out: no finding before the age test ([now - recorded_at >= grace])
+   passes, and one at the first pure time advance where it does — no
+   install needed to surface it. *)
+let grace_deadline_case ~grace ~recorded_at ~deadline () =
+  let intents =
+    { S.grace; owned = [ owned_cookie ];
+      per_switch = [ { S.int_dpid = 1; int_rules = [ miss_intent () ]; int_groups = [] } ] }
+  in
+  let base = snap ~managed:[ 1 ] ~intents [ node 1 ~rules:[ (0, [ miss_rule () ]) ] ] in
+  let incr = Incr.create ~now:0.0 base in
+  let divergence () =
+    List.filter (fun d -> d.D.invariant = D.Divergence) (Incr.diagnostics incr)
+  in
+  let match_ = exact_match ~src:ip_a ~dst:ip_b in
+  ignore
+    (Incr.apply incr ~now:recorded_at
+       (intent_delta 1
+          [ ( (0, 10, match_),
+              Some (intent_rule ~table:0 ~prio:10 ~match_ ~durable:true ~recorded_at) ) ]));
+  Alcotest.(check int) "in flight at install" 0 (List.length (divergence ()));
+  ignore (Incr.apply incr ~now:(Float.pred deadline) Incr.Tick);
+  Alcotest.(check int) "in flight inside the grace" 0 (List.length (divergence ()));
+  ignore (Incr.apply incr ~now:deadline Incr.Tick);
+  (match divergence () with
+  | [ d ] ->
+    Alcotest.(check bool) "an error" true (D.is_error d);
+    Alcotest.(check (option (float 0.0))) "first seen at the deadline" (Some deadline) d.D.first_at
+  | ds -> Alcotest.failf "expected one divergence finding, got:@.%s" (pp_diag_set ds));
+  Alcotest.(check bool) "equals a full rescan" true
+    (same_diags (V.check (Incr.model incr)) (Incr.diagnostics incr))
+
+let test_divergence_at_grace_deadline =
+  grace_deadline_case ~grace ~recorded_at:1.0 ~deadline:(1.0 +. grace)
+
+(* The age test can pass one ulp before [recorded_at +. grace]: with the
+   reliable layer's 0.75 s grace, an intent recorded at
+   0.24999999999999173 has aged at 0.9999999999999917, while the sum
+   rounds to 0.9999999999999918. *)
+let test_divergence_at_rounded_deadline () =
+  let grace = 0.75 and recorded_at = 0.24999999999999173 and deadline = 0.9999999999999917 in
+  Alcotest.(check bool) "the age test passes before the rounded sum" true
+    (deadline -. recorded_at >= grace && deadline < recorded_at +. grace);
+  grace_deadline_case ~grace ~recorded_at ~deadline ()
 
 (* ------------------------------------------------------------------ *)
 (* Clean real topologies: the lint scenarios must stay diagnostic-free *)
@@ -455,6 +600,11 @@ let () =
           Alcotest.test_case "table-miss present" `Quick test_table_miss_present_is_clean;
           Alcotest.test_case "dead cover" `Quick test_cover_without_alive_vswitch;
           Alcotest.test_case "uplink origin missing" `Quick test_uplink_missing_origin ] );
-      ("incremental", [ test_differential ]);
+      ( "incremental",
+        [ test_differential;
+          Alcotest.test_case "divergence surfaces at its grace deadline" `Quick
+            test_divergence_at_grace_deadline;
+          Alcotest.test_case "divergence surfaces at a rounded deadline" `Quick
+            test_divergence_at_rounded_deadline ] );
       ( "clean-topologies",
         [ Alcotest.test_case "lint scenarios" `Quick test_lint_scenarios_clean ] ) ]
