@@ -374,22 +374,18 @@ let verify_net_cmd =
   Cmd.v (Cmd.info "verify-net" ~doc) Term.(const run $ seed_arg $ scenario_arg $ watch_arg)
 
 (* model-check gets its own command (not a bare spec) for the
-   tolerance gate: it exits 1 when model and simulation disagree, so it
+   acceptance gate: it exits 1 when model and simulation disagree, so it
    doubles as a CI check. *)
 let model_check_cmd =
   let doc =
-    "Analytic OFA queueing model vs simulation: sweep offered load over a standalone OFA pool \
-     and compare predicted vs simulated pin-queue depth, Packet-In latency and blocking.  \
-     Exits 1 when any sub-saturation relative error exceeds --tolerance, 2 on usage errors."
+    Printf.sprintf
+      "Analytic OFA queueing model vs simulation: sweep offered load over a standalone OFA pool \
+       and compare predicted vs simulated pin-queue depth, Packet-In latency and blocking.  \
+       Exits 1 when a sub-saturation queue or latency relative error exceeds %g or a blocking \
+       error exceeds %g absolute, 2 on usage errors."
+      Model_check.err_bound Model_check.blocking_bound
   in
-  let tolerance_arg =
-    let doc =
-      "Acceptance band: fail (exit 1) when the relative error of queue depth or latency at any \
-       sub-saturation offered load exceeds $(docv)."
-    in
-    Arg.(value & opt (pos_float "--tolerance") 0.15 & info [ "tolerance" ] ~docv:"ERR" ~doc)
-  in
-  let run seed scale csv tolerance metrics trace =
+  let run seed scale csv metrics trace =
     with_obs ~metrics ~trace (fun () ->
         let o = Model_check.summary ~seed ~scale () in
         let fig = Model_check.figure_of o in
@@ -402,16 +398,14 @@ let model_check_cmd =
           (100.0 *. o.Model_check.max_sojourn_err)
           (100.0 *. o.Model_check.max_blocking_err)
           o.Model_check.digest;
-        if o.Model_check.max_queue_err > tolerance || o.Model_check.max_sojourn_err > tolerance
-        then begin
-          Printf.printf "model-check: FAIL — error exceeds tolerance %.1f%%\n"
-            (100.0 *. tolerance);
-          exit 1
-        end)
+        match Model_check.failures o with
+        | [] -> ()
+        | fs ->
+          List.iter (Printf.printf "model-check: FAIL — %s\n") fs;
+          exit 1)
   in
   Cmd.v (Cmd.info "model-check" ~doc)
-    Term.(
-      const run $ seed_arg $ scale_arg $ csv_arg $ tolerance_arg $ metrics_arg $ trace_arg)
+    Term.(const run $ seed_arg $ scale_arg $ csv_arg $ metrics_arg $ trace_arg)
 
 (* The chaos search: its own command for the budgets, the canary and
    replay.  Exit codes double as the CI contract: 0 = every trial
@@ -449,8 +443,11 @@ let chaos_cmd =
   in
   let canary_arg =
     let doc =
-      "Run the canary: a zero-tolerance schedule that must violate Bounded_loss and shrink \
-       to at most 3 faults — a self-test that the search can still catch and minimize bugs."
+      Printf.sprintf
+        "Run the canary: a zero-tolerance schedule that must violate Bounded_loss, shrink to \
+         at most %d faults and replay from its repro — a self-test that the search can still \
+         catch and minimize bugs."
+        Chaos.canary_max_faults
     in
     Arg.(value & flag & info [ "canary" ] ~doc)
   in
@@ -493,23 +490,21 @@ let chaos_cmd =
       end
   in
   let do_canary ~seed ~repro_path =
-    let o = Chaos.run_canary ~seed ?repro_path ~log:print_endline () in
-    match o.Ch.Search.shrunk with
-    | Some s ->
-      let original = List.length s.Ch.Search.original.Ch.Schedule.faults in
-      let minimal = List.length s.Ch.Search.minimal.Ch.Schedule.faults in
-      Printf.printf "chaos: canary violated and shrunk %d -> %d fault(s) in %d runs\n"
-        original minimal s.Ch.Search.shrink_tests;
-      print_violations s.Ch.Search.minimal_violations;
-      if minimal > 3 then begin
-        Printf.printf "chaos: canary FAILED — minimum %d faults exceeds 3\n" minimal;
-        exit 1
-      end;
-      Option.iter (fun p -> do_replay p) s.Ch.Search.repro_path;
+    let o, replayed = Chaos.canary ~seed ?repro_path ~log:print_endline () in
+    Option.iter
+      (fun s ->
+        Printf.printf "chaos: canary violated and shrunk %d -> %d fault(s) in %d runs\n"
+          (List.length s.Ch.Search.original.Ch.Schedule.faults)
+          (List.length s.Ch.Search.minimal.Ch.Schedule.faults)
+          s.Ch.Search.shrink_tests;
+        print_violations s.Ch.Search.minimal_violations)
+      o.Ch.Search.shrunk;
+    match Chaos.canary_failures o ~replayed with
+    | [] ->
+      print_endline "chaos: canary caught, shrunk and its repro replayed";
       exit 0
-    | None ->
-      Printf.printf
-        "chaos: canary FAILED — the broken configuration produced no shrinkable violation\n";
+    | fs ->
+      List.iter (Printf.printf "chaos: canary FAILED — %s\n") fs;
       exit 1
   in
   let run seed schedules time_budget repro_path replay canary reconcile tenancy det =
@@ -562,7 +557,7 @@ let list_cmd =
       "Failure recovery: vswitch kills mid flash crowd (S5.6); --reconcile for the reliable \
        layer";
     Printf.printf "%-24s %s\n" "model-check"
-      "Analytic OFA queueing model vs simulation; exits 1 past --tolerance"
+      "Analytic OFA queueing model vs simulation; exits 1 past its error bounds"
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 

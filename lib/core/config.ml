@@ -19,15 +19,10 @@
     A flow is declared large when the lower confidence bound of its
     inverse-probability-scaled rate estimate clears
     [elephant_pkt_rate].  The reply carries at most k records —
-    constant-size, independent of flow count.
-
-    [Hybrid rate] samples like [Sampled], but confirms each candidate
-    with one targeted exact flow-stats request before migrating —
-    sampling's channel economy with exact-rate confirmation. *)
+    constant-size, independent of flow count. *)
 type detection =
   | Exact_polling
   | Sampled of float
-  | Hybrid of float
 
 (** When the dataplane verifier runs.
 

@@ -12,13 +12,10 @@
     packet sampling at the vswitch datapath and constant-size top-k
     telemetry reports; a flow is declared large when the lower
     confidence bound of its scaled rate estimate clears
-    [elephant_pkt_rate].  [Hybrid rate] samples like [Sampled] but
-    confirms each candidate with one targeted exact stats request
-    before migrating. *)
+    [elephant_pkt_rate]. *)
 type detection =
   | Exact_polling
   | Sampled of float
-  | Hybrid of float
 
 (** When the dataplane verifier runs.  [Off] (the default) never
     verifies and keeps runs bit-identical to an unverified build;

@@ -156,8 +156,8 @@ val set_on_elephant : t -> (Scotch_packet.Flow_key.t -> unit) -> unit
     plus one per carried record. *)
 val exact_channel : t -> int * int
 
-(** Channel cost of the sampled detection path (telemetry polls plus
-    Hybrid confirmations), same units. *)
+(** Channel cost of the sampled detection path (telemetry polls), same
+    units. *)
 val sampled_channel : t -> int * int
 
 (** The sampler attached to a vswitch, when running under a sampled

@@ -4,7 +4,7 @@
     loop's breakers armed and (per the schedule's cfg) the reliable
     layer and two-tenant budgets on — and distills the finished run to
     a plain {!Scotch_chaos.Oracle.observation}.  {!search},
-    {!run_canary} and {!replay_file} wrap {!Scotch_chaos.Search} with
+    {!canary} and {!replay_file} wrap {!Scotch_chaos.Search} with
     this runner; [bin/scotch_sim.ml]'s [chaos] subcommand and the
     [@chaos] runtest smoke drive them.
 
@@ -190,9 +190,9 @@ let search ?(seed = 42) ?(schedules = 50) ?spec ?time_budget ?determinism_every
 (** The canary: a deliberately broken deployment — zero loss tolerance
     under a mid-flash vswitch crash padded with benign channel noise.
     The schedule {e must} violate Bounded_loss and the shrinker must
-    cut the padding away; the smoke test (and [--canary]) assert the
-    minimum is ≤ 3 faults and that its repro replays to the same
-    verdict. *)
+    cut the padding away; {!canary_failures} asserts the minimum is at
+    most {!canary_max_faults} faults and that its repro replays to the
+    same verdict. *)
 let canary_schedule ?(seed = 42) () =
   let w = { Ch.Schedule.default_workload with Ch.Schedule.duration = 8.0 } in
   let tol = { Ch.Schedule.base_loss = 0.0; exposure_loss = 0.0; max_loss = 0.0 } in
@@ -209,12 +209,6 @@ let canary_schedule ?(seed = 42) () =
       Fault.channel_drop ~at:(0.60 *. d) ~duration:1.0 ~probability:0.05 (vsw 3) ]
   in
   Ch.Schedule.make ~seed ~cfg ~workload:w faults
-
-let run_canary ?seed ?repro_path ?log () =
-  let s = canary_schedule ?seed () in
-  Ch.Search.run ~runner:run_schedule
-    ~gen:(fun ~index:_ -> s)
-    ~schedules:1 ~determinism_every:0 ?repro_path ?log ()
 
 (** Load a repro file and re-execute its schedule (including the
     determinism double-run).  Returns the repro and the violations the
@@ -233,3 +227,55 @@ let replay_faithful (r : Ch.Repro.t) violations =
     (fun o ->
       List.exists (fun (v : Ch.Oracle.violation) -> v.Ch.Oracle.oracle = o) violations)
     r.Ch.Repro.violated
+
+(** The most faults the canary's minimal schedule may keep. *)
+let canary_max_faults = 3
+
+(** Run the canary and replay its repro file ([repro_path], or a
+    temporary file removed afterwards).  Returns the search outcome and
+    whether the replay reproduced the recorded verdict. *)
+let canary ?seed ?repro_path ?log () =
+  let path =
+    match repro_path with
+    | Some p -> p
+    | None -> Filename.temp_file "scotch-chaos-canary" ".txt"
+  in
+  let s = canary_schedule ?seed () in
+  let o =
+    Ch.Search.run ~runner:run_schedule
+      ~gen:(fun ~index:_ -> s)
+      ~schedules:1 ~determinism_every:0 ~repro_path:path ?log ()
+  in
+  let replayed =
+    match replay_file path with Ok (r, vs) -> replay_faithful r vs | Error _ -> false
+  in
+  if repro_path = None then Sys.remove path;
+  (o, replayed)
+
+(** The canary's acceptance checks, one message per miss ([[]] =
+    pass): caught, shrunk to at most {!canary_max_faults} faults that
+    still fail, and a repro that replays to its verdict. *)
+let canary_failures (o : Ch.Search.outcome) ~replayed =
+  List.concat
+    [ Report.check (o.Ch.Search.violated_schedules > 0)
+        "chaos canary was not caught: the finder is blind";
+      (match o.Ch.Search.shrunk with
+      | None -> [ "chaos canary violation was not shrunk" ]
+      | Some s ->
+        let minimal = List.length s.Ch.Search.minimal.Ch.Schedule.faults in
+        Report.check (minimal <= canary_max_faults)
+          (Printf.sprintf "chaos canary shrunk to %d faults, want <= %d" minimal
+             canary_max_faults)
+        @ Report.check (s.Ch.Search.minimal_violations <> [])
+            "chaos canary's minimal schedule no longer fails");
+      Report.check replayed "chaos canary repro did not replay to its verdict" ]
+
+(** A search's acceptance checks ([[]] = pass): no violated schedule
+    (pass rate exactly 1) and at least one determinism double-run. *)
+let search_failures (o : Ch.Search.outcome) =
+  Report.check
+    (o.Ch.Search.violated_schedules = 0 && Ch.Search.pass_rate o = 1.0)
+    (Printf.sprintf "chaos search: %d of %d schedule(s) violated the oracle suite"
+       o.Ch.Search.violated_schedules o.Ch.Search.explored)
+  @ Report.check (o.Ch.Search.determinism_checks >= 1)
+      "chaos search ran no determinism double-runs"

@@ -65,8 +65,7 @@ let client_rate = 10.0
 let flood_rate = 400.0 (* the attacker burst, flows/s *)
 let degrade_peak = 40.0
 
-(* The CI gates (.github/workflows/ci.yml reads these via the bench's
-   BENCH_faults.json isolation block). *)
+(* The isolation contract's bounds (checked by {!failures}). *)
 let p99_delta_bound = 0.05
 let delivery_floor = 0.99
 
@@ -383,6 +382,50 @@ let run_pair ?(seed = 42) ?(scale = 1.0) ?(verify = Config.Off) () =
     | _ -> infinity
   in
   { baseline; attacked; p99_delta }
+
+(** The isolation contract on a same-seed pair, one message per miss
+    ([[]] = pass): the victim's p99 delta finite and within
+    {!p99_delta_bound}; on both legs victim delivery at least
+    {!delivery_floor}, zero victim sheds and some victim flows
+    launched; the flood launched, was shed by its own budget and
+    opened the control-axis breaker, which held a drained member
+    forwarding while the data axis ejected nothing.  A leg run under
+    [Config.Continuous] must also have verified at least once with
+    zero errors. *)
+let failures (p : pair) =
+  let check = Report.check in
+  let leg tag (o : outcome) =
+    List.concat
+      [ check (o.victim_launched > 0) (Printf.sprintf "%s leg launched no victim flows" tag);
+        check
+          (o.victim_delivery >= delivery_floor)
+          (Printf.sprintf "victim delivery %.4f (%s) below floor %g" o.victim_delivery tag
+             delivery_floor);
+        check (o.victim_shed = 0)
+          (Printf.sprintf "%d victim flows shed (%s): the blast radius leaked" o.victim_shed tag);
+        check
+          ((Scotch.config o.net.Testbed.app).Config.verify <> Config.Continuous
+          || (o.verify_checks >= 1 && o.verify_errors = 0))
+          (Printf.sprintf
+             "continuous verification (%s): %d checks, %d errors (want >0 checks, 0 errors)" tag
+             o.verify_checks o.verify_errors) ]
+  in
+  let a = p.attacked in
+  List.concat
+    [ check (p.p99_delta <= p99_delta_bound)
+        (Printf.sprintf "victim p99 moved %g under the tenant flood, bound is %g" p.p99_delta
+           p99_delta_bound);
+      leg "baseline" p.baseline;
+      leg "attacked" a;
+      check (a.attacker_launched > 0) "the tenant flood launched no attacker flows";
+      check (a.attacker_shed >= 1) "the tenant flood was never shed by its own budget";
+      check (a.quarantines >= 1) "the control-axis breaker never opened";
+      check (a.drained_forwarding >= 1)
+        "per-function breaker never held a drained-but-forwarding member";
+      check (a.data_ejects = 0)
+        (Printf.sprintf
+           "data-axis breaker ejected %d members during a control-plane-only gray failure"
+           a.data_ejects) ]
 
 let run ?(seed = 42) ?(scale = 1.0) () : Report.figure =
   let p = run_pair ~seed ~scale () in

@@ -8,8 +8,8 @@
     That is exactly the regime the model solves in closed form
     (M/D/1/K with K waiting slots), so simulated and predicted values
     must agree up to (a) the OFA's ±5 % mean-preserving service jitter
-    and (b) Monte-Carlo noise — both well inside the 15 % acceptance
-    band below saturation.
+    and (b) Monte-Carlo noise — both well inside the acceptance band
+    ({!err_bound}) below saturation.
 
     Measured per offered load [rho], after a warmup:
     - time-average pin-queue length (sampled; the model's [queue_len]),
@@ -218,6 +218,24 @@ let summary ?(seed = 42) ?(scale = 1.0) () : outcome =
     max_sojourn_err = fold (fun p -> p.sojourn_err) below;
     max_blocking_err = fold (fun p -> p.blocking_err) points;
     digest = digest_points points }
+
+(** Acceptance band on the sub-saturation relative queue and sojourn
+    errors. *)
+let err_bound = 0.15
+
+(** Acceptance band on the absolute blocking error, all points. *)
+let blocking_bound = 0.01
+
+(** The model's acceptance checks, one message per bound crossed
+    ([[]] = pass).  A value exactly at its bound passes; [nan] fails. *)
+let failures (o : outcome) =
+  let within what v bound =
+    Report.check (v <= bound)
+      (Printf.sprintf "analytic model %s error %.4f exceeds %g" what v bound)
+  in
+  within "queue" o.max_queue_err err_bound
+  @ within "sojourn" o.max_sojourn_err err_bound
+  @ within "blocking (absolute)" o.max_blocking_err blocking_bound
 
 let figure_of (o : outcome) : Report.figure =
   let series label f = { Report.label; points = List.map (fun p -> (p.rho, f p)) o.points } in

@@ -322,6 +322,67 @@ let run_variant ?(elastic = true) ?(verify = Scotch_core.Config.Off)
     net;
     elastic = auto }
 
+(** Largest active pool sampled over the run. *)
+let peak_pool (o : outcome) =
+  List.fold_left (fun acc (_, n) -> Stdlib.max acc (int_of_float n)) 0 o.pool_timeline
+
+(** Virtual time of the autoscaler's first scale-up, if any. *)
+let first_scale_up (o : outcome) =
+  List.find_map
+    (fun (a : Elastic.action) -> if a.Elastic.dir = `Up then Some a.Elastic.time else None)
+    o.actions
+
+(** The graceful-degradation checks on an elastic run, one message per
+    miss ([[]] = pass): admitted-flow p99 recorded and within
+    {!p99_bound}, the pool drained back to {!num_active}, and the
+    breaker ejected and readmitted the degraded member. *)
+let failures (o : outcome) =
+  let p99 = Option.value o.p99 ~default:Float.nan in
+  List.concat
+    [ Report.check (p99 <= p99_bound)
+        (Printf.sprintf "overload admitted-flow p99 %gs not within bound %gs (nan: none recorded)"
+           p99 p99_bound);
+      Report.check (o.final_pool = num_active)
+        (Printf.sprintf "overload pool did not drain back to %d members (final %d)" num_active
+           o.final_pool);
+      Report.check (o.ejects >= 1) "breaker never ejected the degraded vswitch";
+      Report.check (o.readmits >= 1) "breaker never readmitted the recovered vswitch" ]
+
+(** The predictive autoscaler's contract against a reactive run on the
+    same seed, as [(bench key, holds, message)]: equal peak pool,
+    strictly fewer sheds, an admitted-flow p99 no worse, an earlier
+    first scale-up, and a drain back to {!num_active} that matches
+    reactive's final pool.  A missing p99 or scale-up ([nan]) never
+    holds. *)
+let predictive_verdicts ~(reactive : outcome) ~(predictive : outcome) =
+  let p99 o = Option.value o.p99 ~default:Float.nan in
+  let up o = Option.value (first_scale_up o) ~default:Float.nan in
+  let peak_p = peak_pool predictive and peak_r = peak_pool reactive in
+  [ ( "equal_peak_pool",
+      peak_p = peak_r,
+      Printf.sprintf "predictive and reactive peak pools differ (%d vs %d)" peak_p peak_r );
+    ( "pred_sheds_less",
+      predictive.shed < reactive.shed,
+      Printf.sprintf "predictive shed %d not below reactive %d" predictive.shed reactive.shed );
+    ( "pred_p99_not_worse",
+      p99 predictive <= p99 reactive,
+      Printf.sprintf "predictive admitted-flow p99 %g worse than reactive %g" (p99 predictive)
+        (p99 reactive) );
+    ( "pred_scales_up_earlier",
+      up predictive < up reactive,
+      Printf.sprintf "predictive first scale-up %g not earlier than reactive %g" (up predictive)
+        (up reactive) );
+    ( "pred_drains_down",
+      predictive.final_pool = num_active && predictive.final_pool = reactive.final_pool,
+      Printf.sprintf "predictive drained to %d members (reactive %d, baseline %d)"
+        predictive.final_pool reactive.final_pool num_active ) ]
+
+(** The messages of the {!predictive_verdicts} that do not hold. *)
+let predictive_failures ~reactive ~predictive =
+  List.filter_map
+    (fun (_, ok, msg) -> if ok then None else Some msg)
+    (predictive_verdicts ~reactive ~predictive)
+
 (** The elastic run alone — what the smoke test and the bench drive.
     [multiplier] tunes crowd intensity (default 7.5 = 3x pool
     capacity); [peak] the gray failure's severity. *)

@@ -60,6 +60,8 @@ let to_table fig =
     xs;
   tbl
 
+let check ok msg = if ok then [] else [ msg ]
+
 let print fig =
   Printf.printf "== %s: %s ==\n" fig.id fig.title;
   Printf.printf "   (y: %s)\n" fig.y_label;

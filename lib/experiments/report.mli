@@ -24,6 +24,10 @@ val last_y : series -> float
 val max_y : series -> float
 val min_y : series -> float
 
+(** [check ok msg] is [[]] when [ok] holds and [[msg]] otherwise: one
+    condition of an experiment's [failures] list (empty = pass). *)
+val check : bool -> string -> string list
+
 (** Render as an aligned table: one x column, one column per series
     (blank cells where a series has no point at that x). *)
 val to_table : figure -> Scotch_util.Table_printer.t

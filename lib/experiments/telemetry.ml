@@ -42,7 +42,6 @@ type outcome = {
 let label_of = function
   | Config.Exact_polling -> "exact"
   | Config.Sampled r -> Printf.sprintf "sampled@%g" r
-  | Config.Hybrid r -> Printf.sprintf "hybrid@%g" r
 
 let run_mode ?(seed = 42) ?(verify = Config.Off) ~detection ~duration () =
   let config = { Config.default with Config.detection; verify } in
@@ -97,11 +96,10 @@ let run_mode ?(seed = 42) ?(verify = Config.Off) ~detection ~duration () =
   let msgs, bytes =
     match detection with
     | Config.Exact_polling -> Scotch.exact_channel app
-    | Config.Sampled _ | Config.Hybrid _ -> Scotch.sampled_channel app
+    | Config.Sampled _ -> Scotch.sampled_channel app
   in
   { o_label = label_of detection;
-    o_rate = (match detection with Config.Exact_polling -> 0.0
-             | Config.Sampled r | Config.Hybrid r -> r);
+    o_rate = (match detection with Config.Exact_polling -> 0.0 | Config.Sampled r -> r);
     o_truth = Flow_key.Hashtbl.length truth;
     o_detected = n_detected;
     o_true_pos = true_pos;
@@ -135,6 +133,34 @@ let summary ?(seed = 42) ?(scale = 1.0) ?(verify = Config.Off) () =
 let reduction ~(exact : outcome) ~(sampled : outcome) =
   if sampled.o_msgs = 0 then Float.infinity
   else float_of_int exact.o_msgs /. float_of_int sampled.o_msgs
+
+let bytes_reduction ~(exact : outcome) ~(sampled : outcome) =
+  if sampled.o_bytes = 0 then Float.infinity
+  else float_of_int exact.o_bytes /. float_of_int sampled.o_bytes
+
+(** Detection-quality floor on the sampled run's precision and recall. *)
+let min_quality = 0.9
+
+(** Required stats-channel reduction, exact over sampled, in message
+    units and in wire bytes. *)
+let min_reduction = 10.0
+
+(** The sampled path's acceptance checks against the exact baseline,
+    one message per miss ([[]] = pass): precision and recall at least
+    {!min_quality}, a defined time-to-detect (some elephant was found)
+    and a {!min_reduction}-fold cheaper channel.  A value exactly at
+    its bound passes; [nan] fails. *)
+let failures ~(exact : outcome) ~(sampled : outcome) =
+  let at_least what v bound =
+    Report.check (v >= bound) (Printf.sprintf "telemetry %s %g below %g" what v bound)
+  in
+  List.concat
+    [ at_least "precision" sampled.o_precision min_quality;
+      at_least "recall" sampled.o_recall min_quality;
+      Report.check (Float.is_finite sampled.o_ttd)
+        "telemetry sampled run has no time-to-detect: no elephant found";
+      at_least "channel reduction (msgs, x)" (reduction ~exact ~sampled) min_reduction;
+      at_least "channel reduction (bytes, x)" (bytes_reduction ~exact ~sampled) min_reduction ]
 
 let run ?(seed = 42) ?(scale = 1.0) () : Report.figure =
   let duration = Stdlib.max 12.0 (20.0 *. scale) in

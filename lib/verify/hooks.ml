@@ -22,16 +22,6 @@ type t = {
   mutable installs_issued : int; (* batches seen at the send chokepoint *)
 }
 
-let enabled =
-  ref
-    (match Option.map String.lowercase_ascii (Sys.getenv_opt "SCOTCH_VERIFY") with
-    | Some ("1" | "true" | "yes" | "on") -> true
-    | Some _ | None -> false)
-
-let enable () = enabled := true
-let disable () = enabled := false
-let is_enabled () = !enabled
-
 (** Control-channel sends are asynchronous, so device state lags
     controller intent by a few channel latencies — and a recovery can
     race a concurrent failure's detection window.  Half a second of
@@ -57,13 +47,7 @@ let capture_groups sw =
     !groups
 
 let install ?(phases = [ `Post_recovery ]) ?(run_end = true) ~engine ~topo scotch =
-  (* The knob decides the mode; the legacy env/enable switch keeps its
-     meaning as "at least phase checks". *)
-  let mode =
-    match (Scotch.config scotch).Config.verify with
-    | Config.Off -> if !enabled then Config.Phases else Config.Off
-    | (Config.Phases | Config.Continuous) as m -> m
-  in
+  let mode = (Scotch.config scotch).Config.verify in
   if mode = Config.Off then None
   else begin
     let st = { reports = []; checks = 0; incr = None; applies = 0; installs_issued = 0 } in

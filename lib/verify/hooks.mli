@@ -5,11 +5,9 @@
     [Config.Continuous] — incrementally on every flow-mod, group-mod
     and liveness flip at the install chokepoints.
 
-    The mode comes from the app's {!Scotch_core.Config.verify} knob;
-    the legacy {!enable} switch / [SCOTCH_VERIFY] environment variable
-    still means "at least phase checks".  With [Config.Off] and the
-    switch clear (the default), {!install} is a no-op and production
-    runs pay nothing.  Findings are collected, not raised: read
+    The mode comes from the app's {!Scotch_core.Config.verify} knob
+    alone.  With [Config.Off] (the default), {!install} is a no-op and
+    production runs pay nothing.  Findings are collected, not raised: read
     {!reports} / {!error_count} after the run; continuous-mode
     diagnostics carry the virtual time each violation first appeared
     ({!Diagnostic.first_at}). *)
@@ -21,14 +19,6 @@ type report = {
 }
 
 type t
-
-(** Turn phase-boundary verification on/off for subsequently installed
-    hooks, regardless of the config knob.  [SCOTCH_VERIFY=1] in the
-    environment enables it at startup. *)
-val enable : unit -> unit
-
-val disable : unit -> unit
-val is_enabled : unit -> bool
 
 (** Seconds between a phase notification and its check: control-channel
     sends are asynchronous, so device state lags controller intent by a

@@ -11,9 +11,9 @@
    - the canary: a deliberately broken configuration (zero loss
      tolerance under a mid-flash vswitch crash padded with benign
      noise) that MUST violate Bounded_loss, which the shrinker must
-     cut to <= 3 faults and whose written repro must replay to the
-     same verdict — the regression gate that the finder itself still
-     finds, shrinks and reproduces.
+     cut to at most [Chaos.canary_max_faults] faults and whose written
+     repro must replay to the same verdict — the regression gate that
+     the finder itself still finds, shrinks and reproduces.
 
    Exits non-zero on any miss. *)
 
@@ -30,39 +30,23 @@ let () =
   let o = Chaos.search ~seed:42 ~schedules () in
   if o.Search.explored <> schedules then
     fail "explored %d of %d schedules" o.Search.explored schedules;
-  if o.Search.determinism_checks = 0 then fail "no determinism double-runs";
-  if o.Search.violated_schedules <> 0 then begin
-    List.iter
-      (fun (i, vs) ->
-        List.iter
-          (fun v -> Printf.eprintf "trial %d: %s\n" i (Format.asprintf "%a" Oracle.pp_violation v))
-          vs)
-      o.Search.violations;
-    fail "%d of %d schedules violated the oracle suite" o.Search.violated_schedules
-      o.Search.explored
-  end;
+  List.iter
+    (fun (i, vs) ->
+      List.iter
+        (fun v -> Printf.eprintf "trial %d: %s\n" i (Format.asprintf "%a" Oracle.pp_violation v))
+        vs)
+    o.Search.violations;
+  List.iter (fail "%s") (Chaos.search_failures o);
   Printf.printf "search: %d schedules, %d faults, %d determinism double-runs, 0 violations\n"
     o.Search.explored o.Search.faults_injected o.Search.determinism_checks;
   (* canary: the broken config must be caught, shrunk and reproduced *)
-  let repro_path = Filename.temp_file "scotch-chaos-canary" ".txt" in
-  let c = Chaos.run_canary ~seed:42 ~repro_path () in
-  if c.Search.violated_schedules = 0 then fail "canary did not violate any oracle";
-  (match c.Search.shrunk with
-  | None -> fail "canary violation was not shrunk"
-  | Some s ->
-    let original = List.length s.Search.original.Scotch_chaos.Schedule.faults in
-    let minimal = List.length s.Search.minimal.Scotch_chaos.Schedule.faults in
-    if minimal > 3 then fail "canary shrunk to %d faults (want <= 3)" minimal;
-    if s.Search.minimal_violations = [] then fail "minimal canary schedule no longer fails";
-    Printf.printf "canary: shrunk %d -> %d fault(s) in %d candidate run(s)\n" original minimal
-      s.Search.shrink_tests);
-  (* ... and its repro file must replay to the same verdict *)
-  (match Chaos.replay_file repro_path with
-  | Error e -> fail "repro unreadable: %s" e
-  | Ok (r, violations) ->
-    if not (Chaos.replay_faithful r violations) then
-      fail "replay did not reproduce the recorded verdict";
-    Printf.printf "canary repro replayed: %s reproduced\n"
-      (String.concat ", " (List.map Oracle.oracle_name r.Scotch_chaos.Repro.violated)));
-  Sys.remove repro_path;
+  let c, replayed = Chaos.canary ~seed:42 () in
+  List.iter (fail "%s") (Chaos.canary_failures c ~replayed);
+  Option.iter
+    (fun s ->
+      Printf.printf "canary: shrunk %d -> %d fault(s) in %d candidate run(s), repro replayed\n"
+        (List.length s.Search.original.Scotch_chaos.Schedule.faults)
+        (List.length s.Search.minimal.Scotch_chaos.Schedule.faults)
+        s.Search.shrink_tests)
+    c.Search.shrunk;
   print_endline "chaos smoke OK"

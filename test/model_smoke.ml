@@ -1,10 +1,11 @@
 (* Model smoke (`dune build @model`; also part of plain `dune
    runtest`):
 
-   1. model-vs-sim: the analytic OFA model's queue depth and
-      Packet-In latency stay within 15 % of the discrete-event OFA at
-      every sub-saturation offered load, blocking within 1 % absolute,
-      and the sweep is same-seed bit-identical (digest equality);
+   1. model-vs-sim: the analytic OFA model passes
+      [Model_check.failures] against the discrete-event OFA (queue
+      depth and Packet-In latency below saturation, blocking at every
+      load), and the sweep is same-seed bit-identical (digest
+      equality);
    2. reactive bit-identity: an overload run under the default config
       and one under an explicit [Config.scaling = Reactive] produce
       identical ledger and obs-trace digests — the predictive machinery
@@ -12,11 +13,11 @@
    3. predictive win: under a moderate (5x) flash crowd the predictive
       autoscaler reaches max pool sooner and beats reactive on both
       total shed count and admitted-flow p99 at the same peak pool
-      size, and still drains back to the baseline pool. *)
+      size, and still drains back to the baseline pool
+      ([Overload.predictive_failures]). *)
 
 module MC = Scotch_experiments.Model_check
 module OV = Scotch_experiments.Overload
-module E = Scotch_elastic.Elastic
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("model smoke FAIL: " ^ s); exit 1) fmt
 
@@ -25,26 +26,10 @@ let multiplier = 5.0 (* moderate overload: timing, not raw saturation *)
 
 let check_model_vs_sim () =
   let o = MC.summary ~seed:42 ~scale () in
-  if o.MC.max_queue_err > 0.15 then
-    fail "queue depth error %.3f exceeds 0.15 below saturation" o.MC.max_queue_err;
-  if o.MC.max_sojourn_err > 0.15 then
-    fail "sojourn error %.3f exceeds 0.15 below saturation" o.MC.max_sojourn_err;
-  if o.MC.max_blocking_err > 0.01 then
-    fail "blocking error %.4f exceeds 0.01 absolute" o.MC.max_blocking_err;
+  List.iter (fail "%s") (MC.failures o);
   let o2 = MC.summary ~seed:42 ~scale () in
   if o.MC.digest <> o2.MC.digest then fail "model-check digest differs across same-seed runs";
   o
-
-let peak_pool (o : OV.outcome) =
-  List.fold_left (fun acc (_, v) -> Stdlib.max acc (int_of_float v)) 0 o.OV.pool_timeline
-
-let first_scale_up (o : OV.outcome) =
-  match List.filter (fun a -> a.E.dir = `Up) o.OV.actions with
-  | [] -> fail "no scale-up action recorded"
-  | a :: _ -> a.E.time
-
-let p99_exn what (o : OV.outcome) =
-  match o.OV.p99 with Some p -> p | None -> fail "%s run recorded no admitted-flow p99" what
 
 let () =
   let mc = check_model_vs_sim () in
@@ -63,23 +48,14 @@ let () =
   let pred =
     OV.run_outcome ~seed:42 ~scale ~multiplier ~scaling:Scotch_core.Config.Predictive ()
   in
-  let peak_r = peak_pool react and peak_p = peak_pool pred in
-  if peak_p <> peak_r then fail "peak pool differs: predictive %d vs reactive %d" peak_p peak_r;
-  if pred.OV.shed >= react.OV.shed then
-    fail "predictive shed %d not below reactive %d" pred.OV.shed react.OV.shed;
-  let p99_r = p99_exn "reactive" react and p99_p = p99_exn "predictive" pred in
-  if p99_p > p99_r then fail "predictive p99 %.4f above reactive %.4f" p99_p p99_r;
-  if first_scale_up pred >= first_scale_up react then
-    fail "predictive first scale-up %.2f not earlier than reactive %.2f" (first_scale_up pred)
-      (first_scale_up react);
-  if pred.OV.final_pool <> react.OV.final_pool then
-    fail "predictive drained to %d members, reactive to %d" pred.OV.final_pool
-      react.OV.final_pool;
+  List.iter (fail "%s") (OV.predictive_failures ~reactive:react ~predictive:pred);
+  let p99 (o : OV.outcome) = Option.value o.OV.p99 ~default:Float.nan in
+  let first_up (o : OV.outcome) = Option.value (OV.first_scale_up o) ~default:Float.nan in
 
   Printf.printf
     "model smoke OK: queue err %.1f%%, sojourn err %.1f%% (digest %s); predictive vs reactive \
      at x%.1f: shed %d<%d, p99 %.4f<=%.4f, first up %.2fs<%.2fs, peak pool %d, drained to %d\n"
     (100.0 *. mc.MC.max_queue_err)
     (100.0 *. mc.MC.max_sojourn_err)
-    mc.MC.digest multiplier pred.OV.shed react.OV.shed p99_p p99_r (first_scale_up pred)
-    (first_scale_up react) peak_p pred.OV.final_pool
+    mc.MC.digest multiplier pred.OV.shed react.OV.shed (p99 pred) (p99 react) (first_up pred)
+    (first_up react) (OV.peak_pool pred) pred.OV.final_pool

@@ -42,27 +42,18 @@ let () =
   (* overload actually happened: the admission layer shed work *)
   if o.Overload.shed = 0 then fail "expected admission-layer shedding under a 3x flash";
 
-  (* bounded decision latency for admitted flows *)
-  (match o.Overload.p99 with
-  | None -> fail "no decision-latency observations"
-  | Some q ->
-    if q > Overload.p99_bound then
-      fail "admitted-flow p99 decision latency %.3fs exceeds bound %.3fs" q
-        Overload.p99_bound);
+  (* bounded admitted-flow p99, drain back to the baseline pool, and
+     the breaker caught the gray failure and later readmitted it *)
+  List.iter (fail "%s") (Overload.failures o);
 
   (* the autoscaler grew the pool under load... *)
   let ups = List.filter (fun a -> a.Elastic.dir = `Up) o.Overload.actions in
   if ups = [] then fail "autoscaler never scaled up under a 3x flash";
-  let peak_pool =
-    List.fold_left (fun acc (_, n) -> Stdlib.max acc n) 0.0 o.Overload.pool_timeline
-  in
-  if peak_pool <= float_of_int Overload.num_active then
-    fail "active pool never grew past %d (peak %.0f)" Overload.num_active peak_pool;
+  let peak_pool = Overload.peak_pool o in
+  if peak_pool <= Overload.num_active then
+    fail "active pool never grew past %d (peak %d)" Overload.num_active peak_pool;
 
-  (* ...and converged back down: settled at min_pool, quiet at the end *)
-  if o.Overload.final_pool <> Overload.num_active then
-    fail "pool did not drain back to %d members (final %d)" Overload.num_active
-      o.Overload.final_pool;
+  (* ...and converged back down: quiet at the end *)
   let horizon =
     List.fold_left (fun acc (t, _) -> Stdlib.max acc t) 0.0 o.Overload.pool_timeline
   in
@@ -88,10 +79,6 @@ let () =
   check_flap o.Overload.actions;
   if List.length o.Overload.actions > 2 * Overload.max_pool then
     fail "%d autoscaler actions: oscillating" (List.length o.Overload.actions);
-
-  (* the breaker caught the gray failure and later readmitted it *)
-  if o.Overload.ejects < 1 then fail "breaker never ejected the degraded vswitch";
-  if o.Overload.readmits < 1 then fail "breaker never readmitted the recovered vswitch";
 
   (* graceful, not magical: a sustained 3x flash cannot be fully served
      (scale-up spends most of the crowd ramping), but the elastic pool

@@ -9,8 +9,8 @@
    the shared chaos oracle suite ([Scotch_chaos.Oracle.check] on the
    run restated as a schedule): post-recovery dataplane cleanliness
    and exposure-bounded flow loss use the same definition of healthy
-   as the searched chaos trials.  With debug-mode verification
-   enabled, the invariant checker additionally runs mid-run after
+   as the searched chaos trials.  With [Config.verify = Phases],
+   the invariant checker additionally runs mid-run after
    every recovery — states the end-state oracle cannot see — and must
    find zero errors there too.  Exits non-zero on any miss. *)
 
@@ -19,8 +19,11 @@ open Scotch_faults
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("resilience smoke FAILED: " ^ s); exit 1) fmt
 
 let () =
-  Scotch_verify.Hooks.enable ();
-  let o = Scotch_experiments.Resilience.run_outcome ~seed:42 ~scale:0.25 ~kills:2 ~multiplier:5.0 () in
+  let config = { Scotch_core.Config.default with Scotch_core.Config.verify = Phases } in
+  let o =
+    Scotch_experiments.Resilience.run_outcome ~config ~seed:42 ~scale:0.25 ~kills:2
+      ~multiplier:5.0 ()
+  in
   let ledger = o.Scotch_experiments.Resilience.ledger in
   Ledger.print ledger;
   let recs = Ledger.records ledger in

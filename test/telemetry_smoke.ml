@@ -1,9 +1,9 @@
 (* Sampled-telemetry smoke: the detection-quality experiment at smoke
    scale.  Exact polling and 1/100 packet sampling run on the same seed
-   and workload; the sampled path must find every planted elephant
-   (recall >= 0.9) without false alarms (precision >= 0.9) while
-   spending at most a tenth of the exact path's stats-channel messages
-   (>= 10x reduction), both ledgers must equal their pinned values,
+   and workload; the sampled path must find the planted elephants
+   without false alarms while spending a fraction of the exact path's
+   stats-channel messages and bytes ([Telemetry.failures] holds the
+   bounds), both ledgers must equal their pinned values,
    and two same-seed sampled runs must be bit-identical
    (`dune build @telemetry`). *)
 
@@ -35,11 +35,9 @@ let () =
   if exact.Telemetry.o_recall < 1.0 then
     fail "exact baseline missed elephants (recall %.2f)" exact.Telemetry.o_recall;
 
-  (* detection quality at 1/100 sampling *)
-  if sampled.Telemetry.o_precision < 0.9 then
-    fail "sampled precision %.2f < 0.9" sampled.Telemetry.o_precision;
-  if sampled.Telemetry.o_recall < 0.9 then
-    fail "sampled recall %.2f < 0.9" sampled.Telemetry.o_recall;
+  (* detection quality at 1/100 sampling and the point of the
+     subsystem: a >= 10x cheaper stats channel *)
+  List.iter (fail "%s") (Telemetry.failures ~exact ~sampled);
 
   (* elephants actually migrated off the overlay under sampling *)
   if sampled.Telemetry.o_migrations = 0 then
@@ -47,7 +45,7 @@ let () =
 
   (* the detection ledger, pinned exactly: a drift in message sizing
      (or in what the pollers send) must show here, not only when it
-     happens to cross the 10x ratio below.  A change that moves these
+     happens to cross the reduction bound above.  A change that moves these
      values re-pins them and says why. *)
   let pin name (o : Telemetry.outcome) msgs bytes =
     if (o.Telemetry.o_msgs, o.Telemetry.o_bytes) <> (msgs, bytes) then
@@ -56,12 +54,6 @@ let () =
   in
   pin "exact" exact 168727 11803882;
   pin "sampled" sampled 288 5396;
-
-  (* the point of the subsystem: a >= 10x cheaper stats channel *)
-  if reduction < 10.0 then fail "channel reduction %.1fx < 10x" reduction;
-  if sampled.Telemetry.o_bytes * 10 > exact.Telemetry.o_bytes then
-    fail "wire-byte reduction below 10x (%d vs %d)" exact.Telemetry.o_bytes
-      sampled.Telemetry.o_bytes;
 
   (* both runs were continuously verified and stayed invariant-clean *)
   if exact.Telemetry.o_verify_checks = 0 then fail "exact run: verifier never checked";

@@ -188,11 +188,87 @@ let test_ablation_withdrawal_figure () =
   Alcotest.(check (float 1e-9)) "active early" 1.0 (Report.value_at active 3.0);
   Alcotest.(check (float 1e-9)) "inactive at the end" 0.0 (Report.last_y active)
 
+(* ------------------------------------------------------------------ *)
+(* Acceptance gates on synthetic outcomes *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* exactly one failure, and it names the crossed bound *)
+let check_one_failure what name failures =
+  match failures with
+  | [ msg ] -> Alcotest.(check bool) (what ^ " names " ^ name) true (contains msg name)
+  | fs -> Alcotest.failf "%s: expected one failure naming %s, got [%s]" what name
+            (String.concat "; " fs)
+
+let model_outcome ?(queue = 0.04) ?(sojourn = 0.02) ?(blocking = 0.001) () =
+  { Model_check.points = [];
+    max_queue_err = queue;
+    max_sojourn_err = sojourn;
+    max_blocking_err = blocking;
+    digest = "" }
+
+let test_model_gates () =
+  let f = Model_check.failures in
+  Alcotest.(check (list string)) "passing" [] (f (model_outcome ()));
+  Alcotest.(check (list string)) "exactly at the bounds" []
+    (f
+       (model_outcome ~queue:Model_check.err_bound ~sojourn:Model_check.err_bound
+          ~blocking:Model_check.blocking_bound ()));
+  let over b = b +. 1e-9 in
+  check_one_failure "queue" "queue" (f (model_outcome ~queue:(over Model_check.err_bound) ()));
+  check_one_failure "sojourn" "sojourn"
+    (f (model_outcome ~sojourn:(over Model_check.err_bound) ()));
+  check_one_failure "blocking" "blocking"
+    (f (model_outcome ~blocking:(over Model_check.blocking_bound) ()));
+  check_one_failure "nan queue" "queue" (f (model_outcome ~queue:Float.nan ()))
+
+let telemetry_outcome ?(precision = 1.0) ?(recall = 1.0) ?(ttd = 1.0) ?(msgs = 10) ?(bytes = 10)
+    () =
+  { Telemetry.o_label = "synthetic";
+    o_rate = 0.01;
+    o_truth = 4;
+    o_detected = 4;
+    o_true_pos = 4;
+    o_precision = precision;
+    o_recall = recall;
+    o_ttd = ttd;
+    o_msgs = msgs;
+    o_bytes = bytes;
+    o_migrations = 4;
+    o_verify_checks = 0;
+    o_verify_errors = 0 }
+
+let test_telemetry_gates () =
+  let exact = telemetry_outcome ~msgs:1000 ~bytes:1000 () in
+  let f sampled = Telemetry.failures ~exact ~sampled in
+  Alcotest.(check (list string)) "passing" [] (f (telemetry_outcome ()));
+  (* 1000 / 100 is exactly the required reduction *)
+  let at_bound = int_of_float (1000.0 /. Telemetry.min_reduction) in
+  Alcotest.(check (list string)) "exactly at the bounds" []
+    (f
+       (telemetry_outcome ~precision:Telemetry.min_quality ~recall:Telemetry.min_quality
+          ~msgs:at_bound ~bytes:at_bound ()));
+  let under q = q -. 1e-9 in
+  check_one_failure "precision" "precision"
+    (f (telemetry_outcome ~precision:(under Telemetry.min_quality) ()));
+  check_one_failure "recall" "recall" (f (telemetry_outcome ~recall:(under Telemetry.min_quality) ()));
+  check_one_failure "msgs reduction" "msgs" (f (telemetry_outcome ~msgs:(at_bound + 1) ()));
+  check_one_failure "bytes reduction" "bytes" (f (telemetry_outcome ~bytes:(at_bound + 1) ()));
+  check_one_failure "nan precision" "precision" (f (telemetry_outcome ~precision:Float.nan ()));
+  check_one_failure "nan recall" "recall" (f (telemetry_outcome ~recall:Float.nan ()));
+  check_one_failure "nan ttd" "time-to-detect" (f (telemetry_outcome ~ttd:Float.nan ()))
+
 let () =
   Alcotest.run "scotch_experiments"
     [ ( "report",
         [ Alcotest.test_case "lookups" `Quick test_report_lookups;
           Alcotest.test_case "table layout" `Quick test_report_table ] );
+      ( "gates",
+        [ Alcotest.test_case "model-check failures" `Quick test_model_gates;
+          Alcotest.test_case "telemetry failures" `Quick test_telemetry_gates ] );
       ( "testbeds",
         [ Alcotest.test_case "single wiring" `Quick test_single_testbed_wiring;
           Alcotest.test_case "scotch_net wiring" `Quick test_scotch_net_wiring;
